@@ -1,13 +1,16 @@
-"""Canonical rooted constructions and the violating-edge predicates.
+"""Canonical rooted constructions and the violating-edge rule.
 
 Everything the streaming detectors must reproduce lives here: canonical BFS
-trees, canonical extended bounded discs, the predicates that witness a
-collected structure as non-canonical, canonical codes for rooted graphs, and
-the projection that recovers a degree-truncated disc from its extended form.
+trees, canonical extended bounded discs, the rule that witnesses a collected
+structure as non-canonical, canonical codes for rooted graphs, and the
+projection that recovers a degree-truncated disc from its extended form.
 
-The extended-disc acceptance rule is shared verbatim between the static
-construction (`cano_disc`) and the stream detector, which makes replaying a
-canonical edge order through the detector reproduce the construction exactly.
+The violating-edge rule exists once, in `classify_edge`; trees apply it over
+each vertex's largest attached child and discs over its largest anchored
+target. Tree and disc updates, the public `is_violating_*` predicates, the
+stream detectors, the static disc construction (`cano_disc`) and the
+enumerator's replay all go through it, which makes replaying a canonical
+edge order through a detector reproduce the construction exactly.
 """
 
 from __future__ import annotations
@@ -40,13 +43,11 @@ class RootedTree:
     maximum depth present.
     """
 
-    __slots__ = ("root", "dep", "parent", "children_max", "maxdep",
-                 "edge_order")
+    __slots__ = ("root", "dep", "children_max", "maxdep", "edge_order")
 
     def __init__(self, root: int):
         self.root = root
         self.dep: Dict[int, int] = {root: 0}
-        self.parent: Dict[int, int] = {}
         self.children_max: Dict[int, int] = {}
         self.maxdep = 0
         self.edge_order: List[Tuple[int, int]] = []
@@ -62,7 +63,6 @@ class RootedTree:
         """Add new vertex w under u (no validity checks)."""
         d = self.dep[u] + 1
         self.dep[w] = d
-        self.parent[w] = u
         prev = self.children_max.get(u, 0)
         if w > prev:
             self.children_max[u] = w
@@ -71,34 +71,57 @@ class RootedTree:
         self.edge_order.append((u, w))
 
 
+OUTSIDE = "outside"
+INSIDE = "inside"
+NEW_VERTEX = "new-vertex"
+VIOLATING = "violating"
+
+
+def classify_edge(dep: Dict[int, int], maxdep: int, largest: Dict[int, int],
+                  a: int, b: int) -> Tuple[str, int, int]:
+    """The one violating-edge rule, shared by trees and discs.
+
+    dep maps collected vertices to their depth, maxdep is the deepest level
+    present, and largest maps a vertex to the largest label of a new vertex
+    it has attached. Returns (kind, u, w). An edge is VIOLATING when it
+    proves the collection cannot be a canonical prefix: a new vertex w hooks
+    onto a vertex u at least DEPTH_GAP above the deepest level, or onto a u
+    that already attached a larger label; or a collected pair spans DEPTH_GAP
+    levels, or its shallower endpoint u already attached a larger label than
+    the deeper endpoint w. Otherwise it is OUTSIDE (neither endpoint
+    collected), INSIDE (both collected) or NEW_VERTEX (u collected, w not).
+    DEPTH_GAP is read on every call, so a perturbed gap takes effect at once.
+    """
+    da = dep.get(a)
+    db = dep.get(b)
+    if da is None and db is None:
+        return OUTSIDE, a, b
+    if da is not None and db is not None:
+        if da == db:
+            return INSIDE, a, b
+        if da > db:
+            a, b, da, db = b, a, db, da
+        if db - da >= DEPTH_GAP or largest.get(a, 0) > b:
+            return VIOLATING, a, b
+        return INSIDE, a, b
+    if da is None:
+        a, b, da = b, a, db
+    if maxdep - da >= DEPTH_GAP or largest.get(a, 0) > b:
+        return VIOLATING, a, b
+    return NEW_VERTEX, a, b
+
+
 def tree_update(t: RootedTree, a: int, b: int) -> str:
     """Apply one arriving edge to a collected tree.
 
-    Returns "violating", "accepted", or "ignored". An edge is violating when
-    it proves the tree cannot be a canonical BFS prefix: a new vertex hooks
-    onto a vertex at least DEPTH_GAP above the deepest level, or onto a vertex
-    that already attached a larger-labeled child; or an in-tree pair spans
-    DEPTH_GAP levels, or the shallower endpoint already attached a child with
-    a larger label than the deeper endpoint.
+    Returns "violating", "accepted" (a new vertex was attached), or
+    "ignored" (the edge touches no collected vertex, or joins two of them).
     """
-    da = t.dep.get(a)
-    db = t.dep.get(b)
-    if da is None and db is None:
-        return "ignored"
-    if da is not None and db is not None:
-        if da == db:
-            return "ignored"
-        if da > db:
-            a, b, da, db = b, a, db, da
-        if db - da >= DEPTH_GAP or t.children_max.get(a, 0) > b:
-            return "violating"
-        return "ignored"
-    if da is None:
-        a, b, da = b, a, db
-    if t.maxdep - da >= DEPTH_GAP or t.children_max.get(a, 0) > b:
-        return "violating"
-    t.attach(a, b)
-    return "accepted"
+    kind, u, w = classify_edge(t.dep, t.maxdep, t.children_max, a, b)
+    if kind == NEW_VERTEX:
+        t.attach(u, w)
+        return "accepted"
+    return "violating" if kind == VIOLATING else "ignored"
 
 
 def is_violating_tree(t: RootedTree, e: Edge) -> bool:
@@ -106,18 +129,8 @@ def is_violating_tree(t: RootedTree, e: Edge) -> bool:
     a, b = (e.u, e.v) if e.u < e.v else (e.v, e.u)
     if (a, b) in t.edge_set():
         raise EdgeAlreadyInTreeError(f"edge ({a},{b}) already in tree")
-    da, db = t.dep.get(a), t.dep.get(b)
-    if da is None and db is None:
-        return False
-    if da is not None and db is not None:
-        if da == db:
-            return False
-        if da > db:
-            a, b, da, db = b, a, db, da
-        return db - da >= DEPTH_GAP or t.children_max.get(a, 0) > b
-    if da is None:
-        a, b, da = b, a, db
-    return t.maxdep - da >= DEPTH_GAP or t.children_max.get(a, 0) > b
+    return classify_edge(t.dep, t.maxdep, t.children_max, a, b)[0] \
+        == VIOLATING
 
 
 def cbfs_tree(g: Graph, v: int, k: int) -> RootedTree:
@@ -204,12 +217,12 @@ class RootedDisc:
 def disc_update(f: RootedDisc, a: int, b: int) -> str:
     """Apply one arriving edge under the extended-disc collection rule.
 
-    Order of checks mirrors the stream detector: the violating test runs
-    first; then an edge joining two collected vertices is always kept (it
-    cannot move any depth once the gap test passed, and it cannot add a
-    vertex, so the space bound is unaffected), while an edge reaching a new
-    vertex is kept only when the radius stays within k and the collected
-    degree of the attachment point stays within d+1.
+    The violating test of classify_edge runs first; then an edge joining two
+    collected vertices is always kept (it cannot move any depth once the gap
+    test passed, and it cannot add a vertex, so the space bound is
+    unaffected), while an edge reaching a new vertex is kept only when the
+    radius stays within k and the collected degree of the attachment point
+    stays within d+1.
 
     Only new-vertex attachments record an anchored target, exactly as tree
     collection records children: a closing edge between collected vertices
@@ -217,35 +230,27 @@ def disc_update(f: RootedDisc, a: int, b: int) -> str:
     it pollute the anchored set makes a later canonical scan trip over its
     own edges.
     """
-    da = f.dep.get(a)
-    db = f.dep.get(b)
-    if da is None and db is None:
+    kind, u, w = classify_edge(f.dep, f.maxdep, f.anchored_max, a, b)
+    if kind == OUTSIDE:
         return "ignored"
-    if da is not None and db is not None:
-        if da != db:
-            if da > db:
-                a, b, da, db = b, a, db, da
-            if db - da >= DEPTH_GAP or f.anchored_max.get(a, 0) > b:
-                return "violating"
-        f.adj[a].add(b)
-        f.adj[b].add(a)
-        f.edges.add((a, b) if a < b else (b, a))
-        return "accepted"
-    if da is None:
-        a, b, da = b, a, db
-    if f.maxdep - da >= DEPTH_GAP or f.anchored_max.get(a, 0) > b:
+    if kind == VIOLATING:
         return "violating"
-    if da + 1 > f.k or len(f.adj[a]) + 1 > f.d + 1:
+    if kind == INSIDE:
+        f.adj[u].add(w)
+        f.adj[w].add(u)
+        f.edges.add((u, w) if u < w else (w, u))
+        return "accepted"
+    du = f.dep[u]
+    if du + 1 > f.k or len(f.adj[u]) + 1 > f.d + 1:
         return "ignored"
-    f.dep[b] = da + 1
-    f.adj[b] = {a}
-    f.adj[a].add(b)
-    f.edges.add((a, b) if a < b else (b, a))
-    prev = f.anchored_max.get(a, 0)
-    if b > prev:
-        f.anchored_max[a] = b
-    if da + 1 > f.maxdep:
-        f.maxdep = da + 1
+    f.dep[w] = du + 1
+    f.adj[w] = {u}
+    f.adj[u].add(w)
+    f.edges.add((u, w) if u < w else (w, u))
+    if w > f.anchored_max.get(u, 0):
+        f.anchored_max[u] = w
+    if du + 1 > f.maxdep:
+        f.maxdep = du + 1
     return "accepted"
 
 
@@ -254,18 +259,8 @@ def is_violating_disc(f: RootedDisc, e: Edge) -> bool:
     a, b = (e.u, e.v) if e.u < e.v else (e.v, e.u)
     if (a, b) in f.edges:
         raise EdgeAlreadyInDiscError(f"edge ({a},{b}) already in disc")
-    da, db = f.dep.get(a), f.dep.get(b)
-    if da is None and db is None:
-        return False
-    if da is not None and db is not None:
-        if da == db:
-            return False
-        if da > db:
-            a, b, da, db = b, a, db, da
-        return db - da >= DEPTH_GAP or f.anchored_max.get(a, 0) > b
-    if da is None:
-        a, b, da = b, a, db
-    return f.maxdep - da >= DEPTH_GAP or f.anchored_max.get(a, 0) > b
+    return classify_edge(f.dep, f.maxdep, f.anchored_max, a, b)[0] \
+        == VIOLATING
 
 
 def _grow_cano_disc(g: Graph, v: int, k: int, d: int):

@@ -61,7 +61,7 @@ def mixed_components(triangles: int = 0, edges_: int = 0,
 
 
 def cc_benchmark() -> Graph:
-    """50 triangles + 30 edges + 20 singletons: n=210, 100 components."""
+    """50 triangles + 30 edges + 20 singletons: n=230, 100 components."""
     return mixed_components(triangles=50, edges_=30, singletons=20)
 
 

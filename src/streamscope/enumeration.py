@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .canonical import DiscType
+from .canonical import DiscType, RootedTree, tree_update
 from .detectors import (BAD_LARGE, BAD_LATE, BAD_SMALL, BAD_VIOLATING, GOOD,
                         DiscDetector, TreeDetector)
 from .errors import TooManyEdgesError
@@ -47,9 +47,6 @@ class OutcomeDistribution:
 
     def probability_float(self, key: OutcomeKey) -> float:
         return float(self.probability(key))
-
-    def as_floats(self) -> Dict[OutcomeKey, float]:
-        return {k: float(v) for k, v in self.exact.items()}
 
     def keys(self):
         return self.exact.keys()
@@ -90,39 +87,14 @@ def tree_replay_profile(order, root: int) -> Tuple[List[int], Optional[int]]:
       len(accepts) + 1 < k         -> small component
       otherwise                    -> Good iff last accept <= threshold
     """
-    from . import canonical
-
-    gap = canonical.DEPTH_GAP
-    dep = {root: 0}
-    children_max: Dict[int, int] = {}
-    maxdep = 0
+    tree = RootedTree(root)
     accepts: List[int] = []
-    t = 0
-    for a, b in order:
-        t += 1
-        da = dep.get(a)
-        db = dep.get(b)
-        if da is None and db is None:
-            continue
-        if da is not None and db is not None:
-            if da == db:
-                continue
-            if da > db:
-                a, b, da, db = b, a, db, da
-            if db - da >= gap or children_max.get(a, 0) > b:
-                return accepts, t
-            continue
-        if da is None:
-            a, b, da = b, a, db
-        if maxdep - da >= gap or children_max.get(a, 0) > b:
+    for t, (a, b) in enumerate(order, 1):
+        res = tree_update(tree, a, b)
+        if res == "accepted":
+            accepts.append(t)
+        elif res == "violating":
             return accepts, t
-        d = da + 1
-        dep[b] = d
-        if d > maxdep:
-            maxdep = d
-        if b > children_max.get(a, 0):
-            children_max[a] = b
-        accepts.append(t)
     return accepts, None
 
 

@@ -1,10 +1,12 @@
 """End-to-end estimators over a single random-order pass.
 
-All estimators follow the same shape: sample roots once, run a detector per
-(root, target) pair over one shared pass through the stream, flip one phase
-coin per edge, and only at the end compare each detector's last-accept time
-against the realized phase threshold. Estimates then rescale the surviving
-indicator counts by the exact first-phase collection probability.
+All estimators follow the same shape: sample roots once, run one detector
+per root over one shared pass through the stream, flip one phase coin per
+edge, and only at the end compare each detector's last-accept time against
+the realized phase threshold. A tree detector capped at k_max decides every
+target size k <= k_max, and a disc detector's collected structure names its
+type, so no root needs more than one detector. Estimates then rescale the
+surviving indicator counts by the exact first-phase collection probability.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .canonical import DiscType, materialize_disc, project_extended_disc
-from .detectors import GOOD, DetectorGrid, DiscDetector, TreeDetector
+from .detectors import (BAD_SMALL, GOOD, DetectorGrid, DiscDetector,
+                        TreeDetector)
 from .errors import (AllEstimatesNonpositiveError, BadWError,
                      EmptyVertexSetError, RadiusMismatchError,
-                     UnweightedStreamError)
+                     StreamscopeError, UnweightedStreamError)
 from .streams import CountingStream, EdgeStream, split_seed
 
 WITHOUT_REPLACEMENT = "without_replacement"
@@ -141,10 +144,8 @@ class NumCCRun:
         self._coin = random.Random(split_seed(params.seed, "coins")).random
         self.heads = 0
         self.t = 0
-        dets = [TreeDetector(v, k)
-                for v in sorted(self.roots)
-                for k in range(1, params.k_max + 1)]
-        self.grid = DetectorGrid(dets)
+        self.grid = DetectorGrid(TreeDetector(v, params.k_max)
+                                 for v in sorted(self.roots))
 
     def feed(self, u: int, v: int) -> None:
         self.t += 1
@@ -156,16 +157,21 @@ class NumCCRun:
         params = self.params
         lam = self.heads
         indicators: Dict[int, int] = {k: 0 for k in range(1, params.k_max + 1)}
+        # A size-k detector behaves exactly like this k_max-capped one until
+        # it accepts its k-th edge, so a root is Good for k = its final tree
+        # size exactly when the capped detector survives (Good or small) and
+        # its last accept is in phase; every other k is Bad for that root.
         for det, outcome in zip(self.grid.detectors, self.grid.finalize(lam)):
-            if outcome == GOOD:
-                indicators[det.k] += self.roots[det.root]
+            if outcome in (GOOD, BAD_SMALL) and det.t_last <= lam:
+                indicators[det.tree.size] += self.roots[det.root]
         per_k = {}
         for k in range(1, params.k_max + 1):
             per_k[k] = (indicators[k] / params.s) * (self.n / k) \
                 / gamma_k(k, params.tau)
-        slot_bound = params.s * params.k_max * (params.k_max + 1)
-        assert self.grid.peak_slots <= slot_bound, \
-            f"detector memory {self.grid.peak_slots} exceeded bound {slot_bound}"
+        slot_bound = params.s * (params.k_max + 1)
+        if self.grid.peak_slots > slot_bound:
+            raise StreamscopeError(f"detector memory {self.grid.peak_slots} "
+                                   f"exceeded bound {slot_bound}")
         return EstimateReport(
             algorithm="num-cc", n=self.n, m_observed=self.t, params=params,
             sample_mode=self.sample_mode, per_k=per_k,
@@ -184,9 +190,10 @@ def num_cc(stream: EdgeStream, n: int, params: EstimatorParams) -> EstimateRepor
     for e, _t in counting:
         run.feed(e.u, e.v)
     report = run.finalize()
-    if hasattr(stream, "__len__"):
-        assert counting.reads == len(stream), \
-            "estimator must read the stream exactly once"
+    if hasattr(stream, "__len__") and counting.reads != len(stream):
+        raise StreamscopeError(f"estimator read {counting.reads} of "
+                               f"{len(stream)} stream edges; it must read "
+                               f"each exactly once")
     return report
 
 

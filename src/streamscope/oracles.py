@@ -45,10 +45,6 @@ def exact_cc_histogram(g: Graph) -> Dict[int, int]:
     return sizes
 
 
-def exact_cc_count(g: Graph) -> int:
-    return sum(exact_cc_histogram(g).values())
-
-
 def threshold_components(g: Graph, t: int) -> int:
     """Number of components after dropping every edge heavier than t."""
     uf = UnionFind(g.n)
@@ -201,11 +197,7 @@ def make_component_mis_oracle(g: Graph, size_cap: int = 20):
 def exact_disc_freq(g: Graph, k: int, d: int) -> Dict[DiscType, int]:
     """Histogram of canonical extended (d+1)-bounded k-disc types over all
     roots of g."""
-    hist: Dict[DiscType, int] = {}
-    for v in range(1, g.n + 1):
-        dt = disc_code(cano_disc(g, v, k, d))
-        hist[dt] = hist.get(dt, 0) + 1
-    return hist
+    return {dt: len(roots) for dt, roots in exact_disc_roots(g, k, d).items()}
 
 
 def exact_disc_roots(g: Graph, k: int, d: int) -> Dict[DiscType, List[int]]:

@@ -1,11 +1,13 @@
 """Named verification checks: every probability and identity the library can
 verify at desk scale, each as one pass/fail line.
 
-The Monte-Carlo sweep shares one replay per (trial, root) across all target
-sizes k: a size-k collector behaves exactly like the unbounded replay until
-it accepts its k-th edge and dies of overgrowth, so the profile of accept
-times plus the first violation time determines every k at once. A property
-test cross-checks this reduction against the real detectors.
+The Monte-Carlo sweep shares one replay per (edge order, root) across all
+target sizes k: a size-k collector behaves exactly like the unbounded replay
+until it accepts its k-th edge and dies of overgrowth, so the profile of
+accept times plus the first violation time determines every k at once.
+The sweep enumerates each graph's exact profiles once for all tau, and
+memoizes each distinct edge order's replay across its trials. Property
+tests cross-check these reductions against the real detectors.
 """
 
 from __future__ import annotations
@@ -122,9 +124,9 @@ def _tree_good_profiles(g: Graph, k_max: int):
     return counts, n_perms
 
 
-def exact_good_probability(counts: Counter, n_perms: int, m: int,
-                           tau: Fraction) -> Fraction:
-    tails = binomial_tails(m, tau)
+def exact_good_probability(counts: Counter, n_perms: int,
+                           tails: List[Fraction]) -> Fraction:
+    """Good probability of one cell; tails = binomial_tails(m, tau)."""
     total = Fraction(0)
     for (kind, value), c in counts.items():
         if kind == "pending":
@@ -134,7 +136,14 @@ def exact_good_probability(counts: Counter, n_perms: int, m: int,
 
 def montecarlo_good_counts(g: Graph, tau: float, trials: int, seed: int,
                            k_max: int) -> Dict[Tuple[int, int], int]:
-    """Shared-trial empirical Good counts for every (root, k) cell."""
+    """Shared-trial empirical Good counts for every (root, k) cell.
+
+    Good can only land on the k matching a root's final tree size (smaller k
+    overflow, larger k starve), so an edge order fixes, per root, at most one
+    cell and its last-accept time. Those are memoized per distinct order
+    (m <= 6 edges allow at most 720); every trial still draws its shuffle
+    and its coins, so the random draws are the same as without the memo.
+    """
     perm_rng = random.Random(split_seed(seed, "permutation"))
     coin_rng = random.Random(split_seed(seed, "coins"))
     edges = [(e.u, e.v) for e in g.edges]
@@ -142,51 +151,59 @@ def montecarlo_good_counts(g: Graph, tau: float, trials: int, seed: int,
     roots = range(1, g.n + 1)
     good: Dict[Tuple[int, int], int] = {(v, k): 0 for v in roots
                                         for k in range(1, k_max + 1)}
+    pending: Dict[tuple, List[Tuple[Tuple[int, int], int]]] = {}
     for _ in range(trials):
         _fisher_yates(edges, perm_rng)
         lam = _count_heads(m, tau, coin_rng)
-        for v in roots:
-            accepts, t_violate = tree_replay_profile(edges, v)
-            if t_violate is not None:
-                continue
-            # Good can only land on the k matching the final tree size;
-            # smaller k overflow and larger k starve.
-            k = len(accepts) + 1
-            if k <= k_max:
-                t_last = accepts[-1] if accepts else 0
-                if t_last <= lam:
-                    good[(v, k)] += 1
+        order = tuple(edges)
+        cells = pending.get(order)
+        if cells is None:
+            cells = pending[order] = []
+            for v in roots:
+                accepts, t_violate = tree_replay_profile(order, v)
+                k = len(accepts) + 1
+                if t_violate is None and k <= k_max:
+                    cells.append(((v, k), accepts[-1] if accepts else 0))
+        for cell, t_last in cells:
+            if t_last <= lam:
+                good[cell] += 1
     return good
 
 
-def _sweep_cell_violations(g: Graph, tau: float, trials: int, seed: int,
-                           k_max: int) -> Tuple[int, int, List[str]]:
+def _sweep_cell_violations(g: Graph, runs, trials: int,
+                           k_max: int) -> List[Tuple[int, int, List[str]]]:
+    """(cells, violations, messages) for each (tau, seed) in runs. The
+    exact profiles do not depend on tau, so they are enumerated once."""
     counts, n_perms = _tree_good_profiles(g, k_max)
-    good = montecarlo_good_counts(g, tau, trials, seed, k_max)
-    tau_f = _as_fraction(tau)
-    cells = violations = 0
-    messages: List[str] = []
-    for v in range(1, g.n + 1):
-        for k in range(1, k_max + 1):
-            cells += 1
-            p = float(exact_good_probability(counts[(v, k)], n_perms, g.m, tau_f))
-            p_hat = good[(v, k)] / trials
-            sigma = math.sqrt(p * (1 - p) / trials)
-            ok = abs(p_hat - p) <= 3 * sigma if sigma > 0 else p_hat == p
-            if not ok:
-                violations += 1
-                if len(messages) < 5:
-                    messages.append(
-                        f"m={g.m} root={v} k={k} tau={tau}: {p_hat:.5f} vs {p:.5f}")
-    return cells, violations, messages
+    out = []
+    for tau, seed in runs:
+        good = montecarlo_good_counts(g, tau, trials, seed, k_max)
+        tails = binomial_tails(g.m, _as_fraction(tau))
+        cells = violations = 0
+        messages: List[str] = []
+        for v in range(1, g.n + 1):
+            for k in range(1, k_max + 1):
+                cells += 1
+                p = float(exact_good_probability(counts[(v, k)], n_perms,
+                                                 tails))
+                p_hat = good[(v, k)] / trials
+                sigma = math.sqrt(p * (1 - p) / trials)
+                ok = abs(p_hat - p) <= 3 * sigma if sigma > 0 else p_hat == p
+                if not ok:
+                    violations += 1
+                    if len(messages) < 5:
+                        messages.append(f"m={g.m} root={v} k={k} tau={tau}: "
+                                        f"{p_hat:.5f} vs {p:.5f}")
+        out.append((cells, violations, messages))
+    return out
 
 
 def _sweep_worker(args):
-    edges, n, tau, trials, seed, k_max = args
+    edges, n, runs, trials, k_max = args
     from .graphs import edge as mk
 
     g = Graph(n, [mk(u, v) for u, v in edges])
-    return _sweep_cell_violations(g, tau, trials, seed, k_max)
+    return _sweep_cell_violations(g, runs, trials, k_max)
 
 
 def check_enumerator_montecarlo(trials: int = 100_000, k_max: int = 5,
@@ -196,14 +213,16 @@ def check_enumerator_montecarlo(trials: int = 100_000, k_max: int = 5,
     graphs = all_graphs_up_to(max_n, max_m)
     tasks = []
     for gi, g in enumerate(graphs):
-        for ti, tau in enumerate(taus):
-            tasks.append(([(e.u, e.v) for e in g.edges], g.n, tau, trials,
-                          split_seed(seed, f"sweep-{gi}-{ti}"), k_max))
+        runs = [(tau, split_seed(seed, f"sweep-{gi}-{ti}"))
+                for ti, tau in enumerate(taus)]
+        tasks.append(([(e.u, e.v) for e in g.edges], g.n, runs, trials,
+                      k_max))
     if jobs > 1:
         with Pool(jobs) as pool:
-            results = pool.map(_sweep_worker, tasks)
+            per_graph = pool.map(_sweep_worker, tasks)
     else:
-        results = [_sweep_worker(t) for t in tasks]
+        per_graph = [_sweep_worker(t) for t in tasks]
+    results = [r for runs in per_graph for r in runs]
     cells = sum(r[0] for r in results)
     violations = sum(r[1] for r in results)
     budget = max(1, int(0.005 * cells))

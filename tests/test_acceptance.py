@@ -68,9 +68,9 @@ def test_criterion_4_mst_identity():
 
 
 def test_criterion_5_num_cc_end_to_end():
-    # cc_benchmark: 50 triangles, 30 edges, 20 singletons; 100 components.
-    # The window is 0.25n for the n=210 its docstring states; the graph has
-    # n=230, so 52.5 is the stricter of the two readings.
+    # cc_benchmark: 50 triangles, 30 edges, 20 singletons; n=230 and 100
+    # components. The window keeps the literal 52.5 = 0.25 x 210, which is
+    # stricter than 0.25n = 57.5.
     g = cc_benchmark()
     tau, s = 0.3, 2000
     window = 52.5
@@ -274,7 +274,8 @@ def test_criterion_10_space_and_pass_discipline():
             assert False, "second pass must be refused"
         except RuntimeError:
             pass
-        bound = params_proto["s"] * params_proto["k_max"] * (params_proto["k_max"] + 1)
+        # one k_max-capped tree detector per root
+        bound = params_proto["s"] * (params_proto["k_max"] + 1)
         assert rep.peak_tree_slots <= bound
         peaks.append(rep.peak_tree_slots)
         per_edge.append(elapsed / g.m)

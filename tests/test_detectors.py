@@ -177,6 +177,35 @@ def test_profile_reduction_matches_detector(seq, root, k, lam):
     assert category == out
 
 
+@pytest.mark.parametrize("n,pairs", [
+    (3, [(1, 2), (1, 3), (2, 3)]),
+    (4, [(1, 2), (2, 3), (3, 4)]),
+    (4, [(1, 2), (1, 3), (1, 4), (2, 3)]),
+    (5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)]),
+])
+def test_montecarlo_good_counts_matches_fresh_detectors(n, pairs):
+    """The sweep's memoized shared-trial counts equal a direct replay of
+    every trial's order through fresh detectors on the same draws."""
+    from streamscope.streams import _count_heads, _fisher_yates, split_seed
+    from streamscope.verification import montecarlo_good_counts
+
+    g = Graph(n, [edge(u, v) for u, v in pairs])
+    tau, trials, seed, k_max = 0.5, 300, 11, 5
+    got = montecarlo_good_counts(g, tau, trials, seed, k_max)
+    perm_rng = random.Random(split_seed(seed, "permutation"))
+    coin_rng = random.Random(split_seed(seed, "coins"))
+    order = [(e.u, e.v) for e in g.edges]
+    want = {(v, k): 0 for v in range(1, n + 1) for k in range(1, k_max + 1)}
+    for _ in range(trials):
+        _fisher_yates(order, perm_rng)
+        lam = _count_heads(len(order), tau, coin_rng)
+        for v, k in want:
+            if run_tree_detector(order, v, k, lam)[0] == GOOD:
+                want[(v, k)] += 1
+    assert got == want
+    assert sum(got.values()) > 0
+
+
 @given(edge_seqs, st.integers(1, 7), st.integers(0, 3), st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
 def test_disc_detector_matches_standalone_predicate(seq, root, k, d):

@@ -2,19 +2,22 @@ import math
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamscope.corpus import mixed_components, weighted_path
+from streamscope.corpus import mixed_components, random_graph, weighted_path
+from streamscope.detectors import GOOD, run_tree_detector
 from streamscope.errors import (AllEstimatesNonpositiveError,
                                 EmptyVertexSetError, RadiusMismatchError,
-                                UnweightedStreamError)
-from streamscope.estimators import (EstimatorParams, cc_param_scales,
-                                    disc_param_scales, disc_report_from_exact,
-                                    gamma_disc, gamma_k, mis_estimate,
-                                    mst_weight, num_cc, num_disc)
+                                StreamscopeError, UnweightedStreamError)
+from streamscope.estimators import (EstimatorParams, NumCCRun,
+                                    cc_param_scales, disc_param_scales,
+                                    disc_report_from_exact, gamma_disc,
+                                    gamma_k, mis_estimate, mst_weight, num_cc,
+                                    num_disc)
 from streamscope.graphs import Graph, edge
 from streamscope.oracles import (exact_cc_histogram, exact_mis, kruskal_mst,
                                  make_component_mis_oracle, mst_identity_value)
-from streamscope.streams import shuffle_stream, split_seed
+from streamscope.streams import EdgeStream, shuffle_stream, split_seed
 
 
 def test_gamma_k_values():
@@ -65,6 +68,49 @@ def test_num_cc_formula_exactness():
         expected = (rep.indicator_counts[k] / params.s) * (g.n / k) \
             / gamma_k(k, params.tau)
         assert value == expected
+
+
+@given(st.integers(1, 8), st.integers(0, 28), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.1, 0.3, 0.5, 0.9]), st.integers(1, 12),
+       st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_one_detector_per_root_matches_one_per_target_size(n, m, seed, tau,
+                                                           s, k_max):
+    """NumCCRun's k_max-capped detector per root books exactly what k_max
+    separate size-k detectors per root would."""
+    g = random_graph(n, min(m, n * (n - 1) // 2), seed)
+    stream = shuffle_stream(g, split_seed(seed, "permutation"))
+    run = NumCCRun(g.n, EstimatorParams(tau=tau, s=s, k_max=k_max, seed=seed))
+    for e, _t in stream:
+        run.feed(e.u, e.v)
+    rep = run.finalize()
+    order = [(e.u, e.v) for e in stream.edges]
+    want = {k: 0 for k in range(1, k_max + 1)}
+    for v, weight in run.roots.items():
+        for k in range(1, k_max + 1):
+            if run_tree_detector(order, v, k, run.heads)[0] == GOOD:
+                want[k] += weight
+    assert rep.indicator_counts == want
+    assert rep.peak_tree_slots <= s * (k_max + 1)
+
+
+def test_num_cc_read_once_check_is_a_typed_error():
+    class Overstated(EdgeStream):
+        def __len__(self):
+            return super().__len__() + 1
+
+    g = mixed_components(edges_=3)
+    stream = Overstated(shuffle_stream(g, 1).edges)
+    with pytest.raises(StreamscopeError, match="exactly once"):
+        num_cc(stream, g.n, EstimatorParams(tau=0.3, s=3, k_max=2))
+
+
+def test_num_cc_slot_bound_is_a_typed_error():
+    g = mixed_components(edges_=3)
+    run = NumCCRun(g.n, EstimatorParams(tau=0.3, s=3, k_max=2))
+    run.grid.peak_slots = 3 * (2 + 1) + 1
+    with pytest.raises(StreamscopeError, match="exceeded bound 9"):
+        run.finalize()
 
 
 def test_num_cc_disjoint_edges_expectation():
