@@ -21,8 +21,8 @@ from .estimators import (DiscReport, EstimateReport, EstimatorParams,
                          MisReport, MstReport, cc_param_scales,
                          disc_param_scales, disc_report_from_exact, gamma_disc,
                          gamma_k, mis_estimate, mst_weight, num_cc, num_disc)
-from .graphs import (Edge, Graph, edge, load_edge_list, neighbors_sorted,
-                     serialize_edge_list, truncate_high_degree)
+from .graphs import (Edge, Graph, edge, load_edge_list, serialize_edge_list,
+                     truncate_high_degree)
 from .oracles import (exact_bounded_disc_freq, exact_cc_histogram,
                       exact_disc_freq, exact_mis, kruskal_mst,
                       make_component_mis_oracle, mst_identity_value)

@@ -22,6 +22,7 @@ from .errors import (
     EdgeAlreadyInDiscError,
     EdgeAlreadyInTreeError,
     InvalidKError,
+    InvariantError,
     RadiusMismatchError,
 )
 from .graphs import Edge, Graph
@@ -287,8 +288,9 @@ def _grow_cano_disc(g: Graph, v: int, k: int, d: int):
             if disc_update(f, u, w) == "accepted":
                 order.append((u, w))
                 after = f.recompute_depths()
-                assert all(after[x] == dx for x, dx in before.items()), \
-                    "accepted edge moved a collected depth"
+                if any(after[x] != dx for x, dx in before.items()):
+                    raise InvariantError(f"accepted edge ({u},{w}) moved a "
+                                         f"collected depth")
                 if new_vertex:
                     queue.append(w)
     return f, order
@@ -300,8 +302,8 @@ def cano_disc(g: Graph, v: int, k: int, d: int) -> RootedDisc:
     BFS over collected vertices, each processed once; a popped vertex scans
     only its first min(deg, d+1) neighbors in ascending label order, and each
     scanned edge goes through exactly the stream-collection rule above.
-    Depth stability is asserted after every insertion: an accepted edge never
-    changes the distance of an already-collected vertex.
+    Depth stability is checked after every insertion (InvariantError): an
+    accepted edge never changes the distance of an already-collected vertex.
     """
     return _grow_cano_disc(g, v, k, d)[0]
 
@@ -499,7 +501,8 @@ def materialize_disc(dt: DiscType, k: int, d: int) -> RootedDisc:
         f.adj[w].add(u)
         f.edges.add((u, w) if u < w else (w, u))
     f.dep = f.recompute_depths()
-    assert len(f.dep) == n, "disc codes always describe root-connected graphs"
+    if len(f.dep) != n:
+        raise InvariantError(f"disc code {dt.hex} is not root-connected")
     f.maxdep = max(f.dep.values(), default=0)
     return f
 

@@ -8,9 +8,10 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from .corpus import (cc_benchmark, disc_benchmark, mixed_components,
                      padded_triangles, random_graph, random_small_components,
@@ -19,10 +20,12 @@ from .errors import (BadWeightError, BadWError, ComponentTooLargeError,
                      StreamscopeError)
 from .estimators import (EstimatorParams, cc_param_scales, disc_param_scales,
                          mis_estimate, mst_weight, num_cc, num_disc)
-from .graphs import Edge, Graph, load_edge_list, serialize_edge_list
+from .graphs import (Edge, EdgeLines, Graph, load_edge_list,
+                     serialize_edge_list)
 from .oracles import (exact_cc_histogram, exact_disc_freq, exact_mis,
                       kruskal_mst, make_component_mis_oracle)
-from .streams import EdgeStream, shuffle_stream, split_seed
+from .streams import (EdgeStream, given_order_stream, shuffle_stream,
+                      split_seed)
 from .verification import run_checks
 
 EXIT_OK = 0
@@ -37,26 +40,20 @@ class _LazyFileStream:
     """One-pass edge stream read straight from a file, nothing materialized.
 
     Debugging aid for space-discipline runs: the order is the file order, not
-    random, and no duplicate detection happens.
+    random. graphs.EdgeLines parses the lines and refuses self loops and
+    labels above n in constant space; duplicate edges would need memory
+    linear in m, so they go undetected.
     """
 
-    def __init__(self, path: str, weighted: bool):
+    def __init__(self, path: str, n: int, weighted: bool):
         self.path = path
+        self.n = n
         self.weighted = weighted
-        self.W = None
 
     def __iter__(self) -> Iterator[Tuple[Edge, int]]:
-        t = 0
         with open(self.path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line or line.startswith("n="):
-                    continue
-                parts = line.split()
-                u, v = int(parts[0]), int(parts[1])
-                w = int(parts[2]) if len(parts) == 3 else None
-                t += 1
-                yield Edge(min(u, v), max(u, v), w), t
+            for t, e in enumerate(EdgeLines(fh, self.n), start=1):
+                yield e, t
 
 
 def _default_seed() -> int:
@@ -68,24 +65,26 @@ class ConfigError(Exception):
     pass
 
 
-def _load_graph(args) -> Graph:
-    """Load or generate the input graph, insisting on an explicit vertex
-    count: isolated vertices never appear in an edge stream, so n must come
-    from --n, an n= header, or the generator."""
-    if getattr(args, "gen", None):
-        return _generate(args.gen, getattr(args, "n", None))
-    with open(args.input, "rb") as fh:
-        text = fh.read()
-    had_header = any(line.strip().startswith(b"n=")
-                     for line in text.splitlines())
-    if getattr(args, "n", None) is None and not had_header:
-        raise ConfigError(
-            "--n is required when the edge list carries no n= header")
-    return load_edge_list(text, n_override=getattr(args, "n", None),
-                          w_override=getattr(args, "W", None))
+def _load_graph(args) -> Tuple[Graph, int]:
+    """Load or generate the input graph and its vertex count, insisting on
+    an explicit count: isolated vertices never appear in an edge stream, so
+    n must come from --n, an n= header, or the generator."""
+    if args.gen:
+        g = _generate(args.gen)
+    else:
+        with open(args.input, "rb") as fh:
+            text = fh.read()
+        had_header = any(line.strip().startswith(b"n=")
+                         for line in text.splitlines())
+        if args.n is None and not had_header:
+            raise ConfigError(
+                "--n is required when the edge list carries no n= header")
+        g = load_edge_list(text, n_override=args.n,
+                           w_override=getattr(args, "W", None))
+    return g, args.n if args.n is not None else g.n
 
 
-def _generate(spec: str, n_override: Optional[int]) -> Graph:
+def _generate(spec: str) -> Graph:
     name, _, arg = spec.partition(":")
     if name == "cc-benchmark":
         return cc_benchmark()
@@ -116,21 +115,17 @@ def _emit(args, text: str) -> None:
 
 
 def _stream_for(args, g: Graph) -> EdgeStream:
-    if getattr(args, "stream_order", "shuffled") == "given":
+    if args.stream_order == "given":
         if args.input:
-            return _LazyFileStream(args.input, g.weighted)
-        from .streams import given_order_stream
+            return _LazyFileStream(args.input, g.n, g.weighted)
         return given_order_stream(g)
     return shuffle_stream(g, split_seed(args.seed, "permutation"))
 
 
-def _params(args, **overrides) -> EstimatorParams:
+def _params(args) -> EstimatorParams:
     return EstimatorParams(
         tau=args.tau, s=args.samples, k_max=getattr(args, "kmax", 1),
-        seed=split_seed(args.seed, "estimator"),
-        epsilon=getattr(args, "epsilon", None),
-        rho=getattr(args, "rho", None),
-        delta=getattr(args, "delta", None), **overrides)
+        seed=split_seed(args.seed, "estimator"))
 
 
 def cmd_run_cc(args) -> int:
@@ -138,41 +133,30 @@ def cmd_run_cc(args) -> int:
         # one-pass file replay with nothing materialized; n must be explicit
         if args.n is None:
             raise ConfigError("--n is required with --stream-order given")
-        stream = _LazyFileStream(args.input, weighted=False)
-        report = num_cc(stream, args.n, _params(args))
-        _emit(args, report.to_json())
-        return EXIT_OK
-    g = _load_graph(args)
-    n = args.n if args.n is not None else g.n
-    if args.exact:
-        hist = exact_cc_histogram(g)
-        import json
-        doc = {"algorithm": "num-cc-exact", "n": n,
-               "per_k": {str(k): c for k, c in sorted(hist.items())},
-               "total": sum(hist.values())}
-        _emit(args, json.dumps(doc, sort_keys=True) + "\n")
-        return EXIT_OK
-    report = num_cc(_stream_for(args, g), n, _params(args))
-    _emit(args, report.to_json())
+        n = args.n
+        stream = _LazyFileStream(args.input, n, weighted=False)
+    else:
+        g, n = _load_graph(args)
+        if args.exact:
+            hist = exact_cc_histogram(g)
+            doc = {"algorithm": "num-cc-exact", "n": n,
+                   "per_k": {str(k): c for k, c in sorted(hist.items())},
+                   "total": sum(hist.values())}
+            _emit(args, json.dumps(doc, sort_keys=True) + "\n")
+            return EXIT_OK
+        stream = _stream_for(args, g)
+    _emit(args, num_cc(stream, n, _params(args)).to_json())
     return EXIT_OK
 
 
 def cmd_run_mst(args) -> int:
-    g = _load_graph(args)
-    n = args.n if args.n is not None else g.n
+    g, n = _load_graph(args)
     W = args.W if args.W is not None else g.W
     if W is None:
         raise BadWError("weighted input or --W required")
     if args.exact:
-        import json
         doc = {"algorithm": "mst-weight-exact", "n": n, "W": W,
                "estimate": kruskal_mst(g)}
-        _emit(args, json.dumps(doc, sort_keys=True) + "\n")
-        return EXIT_OK
-    if W == 1:
-        import json
-        doc = {"algorithm": "mst-weight", "n": n, "W": 1,
-               "estimate": n - 1, "per_threshold": {}}
         _emit(args, json.dumps(doc, sort_keys=True) + "\n")
         return EXIT_OK
     report = mst_weight(_stream_for(args, g), n, W, _params(args))
@@ -181,10 +165,8 @@ def cmd_run_mst(args) -> int:
 
 
 def cmd_run_disc(args) -> int:
-    g = _load_graph(args)
-    n = args.n if args.n is not None else g.n
+    g, n = _load_graph(args)
     if args.exact:
-        import json
         hist = exact_disc_freq(g, args.k, args.d)
         doc = {"algorithm": "num-disc-exact", "n": n, "k": args.k, "d": args.d,
                "per_type": {dt.hex: c for dt, c in sorted(hist.items())}}
@@ -196,10 +178,8 @@ def cmd_run_disc(args) -> int:
 
 
 def cmd_run_mis(args) -> int:
-    g = _load_graph(args)
-    n = args.n if args.n is not None else g.n
+    g, n = _load_graph(args)
     if args.exact:
-        import json
         size, witness = exact_mis(g, args.mis_component_cap)
         doc = {"algorithm": "mis-exact", "n": n, "estimate": size,
                "witness": witness}
@@ -216,7 +196,7 @@ def cmd_run_mis(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    g = _generate(args.preset, None)
+    g = _generate(args.preset)
     _emit(args, serialize_edge_list(g))
     return EXIT_OK
 

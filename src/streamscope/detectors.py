@@ -200,22 +200,19 @@ class DetectorGrid:
         return [det.finalize(lam) for det in self.detectors]
 
 
+def _replay(det, edges: Iterable[Tuple[int, int]], lam: int):
+    for t, (a, b) in enumerate(edges, start=1):
+        det.update(a, b, t)
+    return det.finalize(lam), det
+
+
 def run_tree_detector(edges: Iterable[Tuple[int, int]], root: int, k: int,
                       lam: int) -> Tuple[str, TreeDetector]:
     """Replay a whole edge sequence through one tree detector."""
-    det = TreeDetector(root, k)
-    t = 0
-    for a, b in edges:
-        t += 1
-        det.update(a, b, t)
-    return det.finalize(lam), det
+    return _replay(TreeDetector(root, k), edges, lam)
 
 
 def run_disc_detector(edges: Iterable[Tuple[int, int]], root: int, k: int,
                       d: int, lam: int):
-    det = DiscDetector(root, k, d)
-    t = 0
-    for a, b in edges:
-        t += 1
-        det.update(a, b, t)
-    return det.finalize(lam), det
+    """Replay a whole edge sequence through one disc detector."""
+    return _replay(DiscDetector(root, k, d), edges, lam)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .canonical import DiscType, RootedTree, tree_update
 from .detectors import (BAD_LARGE, BAD_LATE, BAD_SMALL, BAD_VIOLATING, GOOD,
                         DiscDetector, TreeDetector)
-from .errors import TooManyEdgesError
+from .errors import InvariantError, TooManyEdgesError
 from .graphs import Graph
 from .streams import _count_heads, _fisher_yates, split_seed
 
@@ -38,7 +38,8 @@ class OutcomeDistribution:
     def __init__(self, exact: Dict[OutcomeKey, Fraction],
                  trials: Optional[int] = None):
         total = sum(exact.values())
-        assert total == 1, f"probabilities sum to {total}"
+        if total != 1:
+            raise InvariantError(f"probabilities sum to {total}")
         self.exact = dict(exact)
         self.trials = trials
 

@@ -77,3 +77,7 @@ class DisconnectedError(StreamscopeError):
 
 class BadWError(StreamscopeError):
     pass
+
+
+class InvariantError(StreamscopeError):
+    """An internal invariant failed (checked where an assert would not be)."""

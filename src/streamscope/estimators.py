@@ -1,12 +1,13 @@
 """End-to-end estimators over a single random-order pass.
 
-All estimators follow the same shape: sample roots once, run one detector
-per root over one shared pass through the stream, flip one phase coin per
-edge, and only at the end compare each detector's last-accept time against
-the realized phase threshold. A tree detector capped at k_max decides every
-target size k <= k_max, and a disc detector's collected structure names its
-type, so no root needs more than one detector. Estimates then rescale the
-surviving indicator counts by the exact first-phase collection probability.
+All estimators follow one shape, written once as RootPass: sample roots,
+run one detector per root over one shared pass through the stream, flip one
+phase coin per edge, and only at the end compare each detector's
+last-accept time against the realized phase threshold. A tree detector
+capped at k_max decides every target size k <= k_max, and a disc detector's
+collected structure names its type, so no root needs more than one
+detector. Estimates then rescale the surviving indicator counts by the
+exact first-phase collection probability.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .canonical import DiscType, materialize_disc, project_extended_disc
@@ -99,8 +100,16 @@ def sample_roots(n: int, s: int, seed: int) -> Tuple[Dict[int, int], str]:
     return dict(counts), WITH_REPLACEMENT
 
 
+class Report:
+    """Reports serialize to sorted-key JSON, so identical runs give identical
+    bytes."""
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
+
+
 @dataclass
-class EstimateReport:
+class EstimateReport(Report):
     algorithm: str
     n: int
     m_observed: int
@@ -124,19 +133,18 @@ class EstimateReport:
             "total": self.total,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
 
+class RootPass:
+    """One random-order pass seen by a sample of roots.
 
-class NumCCRun:
-    """One online component-count estimation instance.
-
-    Feed every qualifying edge exactly once, in stream order; the instance
-    keeps its own local clock and phase-coin stream, so several instances can
-    share one physical pass over differently filtered views.
+    Samples the roots, builds one detector per root with make_detector, and
+    flips one phase coin per fed edge. Feed every qualifying edge exactly
+    once, in stream order; the pass keeps its own clock and coin stream, so
+    several passes can share one physical read of differently filtered views.
     """
 
-    def __init__(self, n: int, params: EstimatorParams):
+    def __init__(self, n: int, params: EstimatorParams,
+                 make_detector: Callable[[int], object]):
         self.n = n
         self.params = params
         self.roots, self.sample_mode = sample_roots(
@@ -144,14 +152,30 @@ class NumCCRun:
         self._coin = random.Random(split_seed(params.seed, "coins")).random
         self.heads = 0
         self.t = 0
-        self.grid = DetectorGrid(TreeDetector(v, params.k_max)
-                                 for v in sorted(self.roots))
+        self.grid = DetectorGrid(make_detector(v) for v in sorted(self.roots))
 
     def feed(self, u: int, v: int) -> None:
         self.t += 1
         if self._coin() < self.params.tau:
             self.heads += 1
         self.grid.feed(u, v, self.t)
+
+    def read(self, stream: EdgeStream) -> None:
+        """Feed a whole stream, read exactly once."""
+        for e, _t in CountingStream(stream):
+            self.feed(e.u, e.v)
+
+    def outcomes(self):
+        """(detector, outcome) pairs at the phase threshold Λ = heads."""
+        return zip(self.grid.detectors, self.grid.finalize(self.heads))
+
+
+class NumCCRun(RootPass):
+    """One online component-count estimation instance: a k_max-capped tree
+    detector per root."""
+
+    def __init__(self, n: int, params: EstimatorParams):
+        super().__init__(n, params, lambda v: TreeDetector(v, params.k_max))
 
     def finalize(self) -> EstimateReport:
         params = self.params
@@ -161,7 +185,7 @@ class NumCCRun:
         # it accepts its k-th edge, so a root is Good for k = its final tree
         # size exactly when the capped detector survives (Good or small) and
         # its last accept is in phase; every other k is Bad for that root.
-        for det, outcome in zip(self.grid.detectors, self.grid.finalize(lam)):
+        for det, outcome in self.outcomes():
             if outcome in (GOOD, BAD_SMALL) and det.t_last <= lam:
                 indicators[det.tree.size] += self.roots[det.root]
         per_k = {}
@@ -186,19 +210,12 @@ def num_cc(stream: EdgeStream, n: int, params: EstimatorParams) -> EstimateRepor
     shrink the result by at most n / k_max.
     """
     run = NumCCRun(n, params)
-    counting = CountingStream(stream)
-    for e, _t in counting:
-        run.feed(e.u, e.v)
-    report = run.finalize()
-    if hasattr(stream, "__len__") and counting.reads != len(stream):
-        raise StreamscopeError(f"estimator read {counting.reads} of "
-                               f"{len(stream)} stream edges; it must read "
-                               f"each exactly once")
-    return report
+    run.read(stream)
+    return run.finalize()
 
 
 @dataclass
-class MstReport:
+class MstReport(Report):
     n: int
     W: int
     m_observed: int
@@ -219,9 +236,6 @@ class MstReport:
             "estimate": self.estimate,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
-
 
 def mst_weight(stream: EdgeStream, n: int, W: int,
                params: EstimatorParams) -> MstReport:
@@ -239,35 +253,25 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
         raise BadWError(f"W must be >= 1, got {W}")
     if n <= 0:
         raise EmptyVertexSetError("graph has no vertices")
-    instances = {
-        t: NumCCRun(n, EstimatorParams(
-            tau=params.tau, s=params.s, k_max=params.k_max,
-            seed=split_seed(params.seed, f"threshold-{t}"),
-            epsilon=params.epsilon, rho=params.rho, delta=params.delta))
-        for t in range(1, W)
-    }
+    instances = {t: NumCCRun(n, replace(
+        params, seed=split_seed(params.seed, f"threshold-{t}")))
+        for t in range(1, W)}
     counting = CountingStream(stream)
-    m_observed = 0
     for e, _t in counting:
-        m_observed += 1
         if e.w is None or not 1 <= e.w <= W:
             raise BadWError(f"edge weight {e.w} outside [1..{W}]")
         for t in range(e.w, W):
             instances[t].feed(e.u, e.v)
-    per_threshold: Dict[int, float] = {}
-    reports: Dict[int, EstimateReport] = {}
-    for t, run in instances.items():
-        rep = run.finalize()
-        reports[t] = rep
-        per_threshold[t] = rep.total
+    reports = {t: run.finalize() for t, run in instances.items()}
+    per_threshold = {t: rep.total for t, rep in reports.items()}
     estimate = n - W + sum(per_threshold.values())
-    return MstReport(n=n, W=W, m_observed=m_observed, params=params,
+    return MstReport(n=n, W=W, m_observed=counting.reads, params=params,
                      estimate=estimate, per_threshold=per_threshold,
                      threshold_reports=reports)
 
 
 @dataclass
-class DiscReport:
+class DiscReport(Report):
     n: int
     m_observed: int
     k: int
@@ -296,9 +300,6 @@ class DiscReport:
                                  sorted(self.indicator_counts.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
-
 
 def num_disc(stream: EdgeStream, n: int, k: int, d: int,
              params: EstimatorParams) -> DiscReport:
@@ -308,29 +309,19 @@ def num_disc(stream: EdgeStream, n: int, k: int, d: int,
     canonical code of whatever it collected, which is observationally the
     same as running one detector per (root, type) pair but linearly cheaper.
     """
-    roots, sample_mode = sample_roots(n, params.s,
-                                      split_seed(params.seed, "sample"))
-    coin = random.Random(split_seed(params.seed, "coins")).random
-    dets = [DiscDetector(v, k, d) for v in sorted(roots)]
-    grid = DetectorGrid(dets)
-    counting = CountingStream(stream)
-    heads = 0
-    t = 0
-    for e, _t in counting:
-        t += 1
-        if coin() < params.tau:
-            heads += 1
-        grid.feed(e.u, e.v, t)
+    run = RootPass(n, params, lambda v: DiscDetector(v, k, d))
+    run.read(stream)
     indicators: Dict[DiscType, int] = {}
     witnesses: Dict[DiscType, List[int]] = {}
-    for det, outcome in zip(grid.detectors, grid.finalize(heads)):
+    for det, outcome in run.outcomes():
         if isinstance(outcome, DiscType):
-            indicators[outcome] = indicators.get(outcome, 0) + roots[det.root]
+            indicators[outcome] = indicators.get(outcome, 0) \
+                + run.roots[det.root]
             witnesses.setdefault(outcome, []).append(det.root)
     per_type = {dt: (cnt / params.s) * n / gamma_disc(dt.num_edges, params.tau)
                 for dt, cnt in indicators.items()}
-    return DiscReport(n=n, m_observed=t, k=k, d=d, params=params,
-                      sample_mode=sample_mode, per_type=per_type,
+    return DiscReport(n=n, m_observed=run.t, k=k, d=d, params=params,
+                      sample_mode=run.sample_mode, per_type=per_type,
                       indicator_counts=indicators, witness_roots=witnesses)
 
 
@@ -354,7 +345,7 @@ RootMembershipOracle = Callable[[object, int], bool]
 
 
 @dataclass
-class MisReport:
+class MisReport(Report):
     n: int
     k: int
     d: int
@@ -374,9 +365,6 @@ class MisReport:
             "estimate": self.estimate,
             "oracle": self.oracle_name,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
 
 
 def mis_estimate(disc_report: DiscReport, n: int, d: int, k: int,

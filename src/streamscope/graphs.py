@@ -7,7 +7,7 @@ construction and safe to share.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     BadWeightError,
@@ -109,65 +109,80 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-def neighbors_sorted(g: Graph, v: int) -> tuple:
-    return g.neighbors_sorted(v)
+class EdgeLines:
+    """One pass over the lines of an edge-list document, yielding normalized
+    edges and holding one line at a time.
+
+    Lines hold "u v" or "u v w" (whitespace separated); '#' starts a comment;
+    an optional "n=<int>" line, allowed only as the first data line, sets
+    `n` when the caller gave none. All lines must agree on whether a weight
+    column is present. Labels must be >= 1, and <= n once n is known; self
+    loops are refused.
+    """
+
+    def __init__(self, lines: Iterable[str], n: Optional[int] = None):
+        self.lines = lines
+        self.n = n
+
+    def __iter__(self) -> Iterator[Edge]:
+        weighted = n_header = None
+        for line_no, raw in enumerate(self.lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("n="):
+                if weighted is not None or n_header is not None:
+                    raise ParseError(line_no, "n= header must be the first "
+                                              "data line")
+                try:
+                    n_header = int(line[2:])
+                except ValueError:
+                    raise ParseError(line_no,
+                                     f"bad n= header {line!r}") from None
+                if self.n is None:
+                    self.n = n_header
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise ParseError(line_no,
+                                 f"expected 2 or 3 fields, got {len(parts)}")
+            try:
+                nums = [int(p) for p in parts]
+            except ValueError:
+                raise ParseError(line_no,
+                                 f"non-integer field in {line!r}") from None
+            has_w = len(nums) == 3
+            if weighted is None:
+                weighted = has_w
+            elif weighted != has_w:
+                raise ParseError(line_no,
+                                 "mixed weighted and unweighted lines")
+            u, v = nums[0], nums[1]
+            if u < 1 or v < 1:
+                raise ParseError(line_no, f"labels must be >= 1 in {line!r}")
+            if self.n is not None and max(u, v) > self.n:
+                raise LabelOutOfRangeError(
+                    f"line {line_no}: label {max(u, v)} > n={self.n}")
+            yield edge(u, v, nums[2] if has_w else None)
 
 
 def load_edge_list(text, n_override: Optional[int] = None,
                    w_override: Optional[int] = None) -> Graph:
-    """Parse an edge-list document into a validated Graph.
+    """Parse an edge-list document (see EdgeLines) into a validated Graph.
 
-    Lines hold "u v" or "u v w" (whitespace separated); '#' starts a comment;
-    an optional "n=<int>" line fixes the vertex count. When no explicit n is
-    available the maximum label seen is used. All lines must agree on whether
-    a weight column is present.
+    The vertex count is n_override, else the n= header, else the maximum
+    label seen.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     if hasattr(text, "read"):
         text = text.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    n_header = None
-    rows = []  # (line_no, u, v, w)
-    weighted = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("n="):
-            if rows or n_header is not None:
-                raise ParseError(line_no, "n= header must be the first data line")
-            try:
-                n_header = int(line[2:])
-            except ValueError:
-                raise ParseError(line_no, f"bad n= header {line!r}") from None
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(line_no, f"expected 2 or 3 fields, got {len(parts)}")
-        try:
-            nums = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(line_no, f"non-integer field in {line!r}") from None
-        has_w = len(nums) == 3
-        if weighted is None:
-            weighted = has_w
-        elif weighted != has_w:
-            raise ParseError(line_no, "mixed weighted and unweighted lines")
-        u, v = nums[0], nums[1]
-        if u < 1 or v < 1:
-            raise ParseError(line_no, f"labels must be >= 1 in {line!r}")
-        rows.append((line_no, u, v, nums[2] if has_w else None))
-    n = n_override if n_override is not None else n_header
-    if n is None:
-        n = max((max(u, v) for (_, u, v, _) in rows), default=0)
-    edges = []
-    for line_no, u, v, w in rows:
-        if max(u, v) > n:
-            raise LabelOutOfRangeError(f"line {line_no}: label {max(u, v)} > n={n}")
-        edges.append(edge(u, v, w))
-    return Graph(n, edges, weighted=bool(weighted), W=w_override)
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines = EdgeLines(text.splitlines(), n_override)
+    edges = list(lines)
+    n = lines.n if lines.n is not None else max(
+        (e.v for e in edges), default=0)
+    return Graph(n, edges, weighted=bool(edges) and edges[0].w is not None,
+                 W=w_override)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .canonical import DiscType, bounded_disc_code, cano_disc, disc_code
-from .errors import ComponentTooLargeError, DisconnectedError
+from .errors import (ComponentTooLargeError, DisconnectedError,
+                     InvariantError)
 from .graphs import Graph, connected_components
 
 
@@ -144,7 +145,9 @@ def _max_independent_sets(vertices: List[int], edges: List[Tuple[int, int]]):
         if alpha_with(i + 1, len(witness) + 1, blocked | adj[v]) == best_size:
             witness.append(v)
             blocked |= adj[v]
-    assert len(witness) == best_size
+    if len(witness) != best_size:
+        raise InvariantError(f"witness of size {len(witness)} for an "
+                             f"independent set of size {best_size}")
     return best_size, witness
 
 

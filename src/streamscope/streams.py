@@ -11,7 +11,7 @@ import hashlib
 import random
 from typing import Iterator, NamedTuple, Optional, Tuple
 
-from .errors import BadWError, UnweightedStreamError
+from .errors import BadWError, StreamscopeError, UnweightedStreamError
 from .graphs import Edge, Graph
 
 
@@ -25,7 +25,7 @@ class EdgeStream:
     """A fixed ordering of an edge set; time steps run 1..m in order.
 
     Iterating yields (Edge, time_step) pairs. Streams are immutable values;
-    estimators enforce their single read through a counting wrapper.
+    estimators enforce their single read through CountingStream.
     """
 
     __slots__ = ("edges", "weighted", "W")
@@ -116,7 +116,8 @@ def threshold_view(stream: EdgeStream, t: int) -> EdgeStream:
 
 
 class CountingStream:
-    """Single-pass guard: yields each item once and refuses a second pass."""
+    """Single-pass guard: yields each item once, refuses a second pass, and
+    raises StreamscopeError when a pass ends short of the stream's length."""
 
     def __init__(self, stream):
         self._stream = stream
@@ -130,3 +131,8 @@ class CountingStream:
         for item in self._stream:
             self.reads += 1
             yield item
+        if hasattr(self._stream, "__len__") and \
+                self.reads != len(self._stream):
+            raise StreamscopeError(f"estimator read {self.reads} of "
+                                   f"{len(self._stream)} stream edges; it "
+                                   f"must read each exactly once")

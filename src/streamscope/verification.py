@@ -12,10 +12,11 @@ tests cross-check these reductions against the real detectors.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -30,7 +31,8 @@ from .detectors import (BAD_SMALL, GOOD, run_disc_detector, run_tree_detector)
 from .enumeration import (binomial_tails, enumerate_outcomes,
                           montecarlo_outcomes, profile_outcome,
                           tree_replay_profile, _as_fraction)
-from .graphs import Graph, connected_components
+from .errors import StreamscopeError
+from .graphs import Graph, connected_components, edge
 from .oracles import kruskal_mst, mst_identity_value
 from .streams import _count_heads, _fisher_yates, split_seed
 
@@ -64,8 +66,6 @@ def mutated_depth_gap(gap: int):
 
 def check_exact_probabilities(trials: int = 1_000_000,
                               seed: int = 20_240_601) -> CheckResult:
-    from .graphs import edge
-
     tau = Fraction(3, 10)
     tri = Graph(3, [edge(1, 2), edge(1, 3), edge(2, 3)])
     p4 = Graph(4, [edge(1, 2), edge(2, 3), edge(3, 4)])
@@ -105,8 +105,6 @@ def check_exact_probabilities(trials: int = 1_000_000,
 def _tree_good_profiles(g: Graph, k_max: int):
     """Per (root, k): list of (kind, value) permutation outcomes, where kind
     "pending" carries t_last and everything else is threshold-independent."""
-    import itertools
-
     edges = [(e.u, e.v) for e in g.edges]
     counts: Dict[Tuple[int, int], Counter] = {
         (v, k): Counter() for v in range(1, g.n + 1) for k in range(1, k_max + 1)}
@@ -200,9 +198,7 @@ def _sweep_cell_violations(g: Graph, runs, trials: int,
 
 def _sweep_worker(args):
     edges, n, runs, trials, k_max = args
-    from .graphs import edge as mk
-
-    g = Graph(n, [mk(u, v) for u, v in edges])
+    g = Graph(n, [edge(u, v) for u, v in edges])
     return _sweep_cell_violations(g, runs, trials, k_max)
 
 
@@ -354,8 +350,6 @@ def check_detection_window(seed: int = 67) -> CheckResult:
 
 
 def check_false_positive_ratio() -> CheckResult:
-    from .graphs import edge
-
     p4 = Graph(4, [edge(1, 2), edge(2, 3), edge(3, 4)])
     ratios = []
     for tau in (Fraction(3, 10), Fraction(1, 10), Fraction(1, 20)):
@@ -384,7 +378,8 @@ def run_checks(only: Optional[str] = None, jobs: int = 1, fast: bool = False,
                mutate: Optional[str] = None) -> List[CheckResult]:
     """Run the named checks (all by default). fast=True shrinks the randomized
     case counts for a quick smoke pass; mutate injects a deliberate defect so
-    the caller can confirm the suite notices.
+    the caller can confirm the suite notices. A StreamscopeError raised
+    inside a check becomes that check's FAIL result.
     """
     mc_trials = 20_000 if fast else 100_000
     exact_trials = 100_000 if fast else 1_000_000
@@ -403,9 +398,16 @@ def run_checks(only: Optional[str] = None, jobs: int = 1, fast: bool = False,
         if only not in plan:
             raise KeyError(f"unknown check {only!r}; have {sorted(plan)}")
         plan = {only: plan[only]}
-    if mutate is None:
-        return [fn() for fn in plan.values()]
-    if mutate != "depth-gap":
+    if mutate not in (None, "depth-gap"):
         raise KeyError(f"unknown mutation {mutate!r}")
-    with mutated_depth_gap(canonical.DEPTH_GAP + 1):
-        return [fn() for fn in plan.values()]
+    with mutated_depth_gap(canonical.DEPTH_GAP + 1) if mutate \
+            else nullcontext():
+        return [_run_check(name, fn) for name, fn in plan.items()]
+
+
+def _run_check(name: str, fn) -> CheckResult:
+    """A check's result; a typed error raised inside it fails that check."""
+    try:
+        return fn()
+    except StreamscopeError as exc:
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")

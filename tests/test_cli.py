@@ -67,6 +67,23 @@ def test_input_error_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("body", [
+    "1 2\n1 1\n",        # self loop
+    "1 2\n9 4\n",        # label > n
+    "1 2\n1 x\n",        # non-integer field
+    "1 2\n2 3 5\n",      # mixed weight columns
+], ids=["self-loop", "label-above-n", "non-integer", "mixed-weights"])
+def test_given_order_stream_validates_lines(tmp_path, capsys, body):
+    path = tmp_path / "bad.el"
+    path.write_text(body)
+    rc = main(["run-cc", "--input", str(path), "--n", "4", "--tau", "0.3",
+               "--samples", "4", "--kmax", "2", "--stream-order", "given"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_weight_error_exit_4(tmp_path, capsys):
     path = tmp_path / "w.el"
     path.write_text("n=3\n1 2 9\n2 3 1\n")
@@ -90,7 +107,10 @@ def test_run_mst_w1_short_circuit(tmp_path, capsys):
     rc = main(["run-mst", "--input", str(path), "--n", "2", "--W", "1",
                "--tau", "0.1", "--samples", "2", "--kmax", "2"])
     assert rc == 0
-    assert json.loads(capsys.readouterr().out)["estimate"] == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["estimate"] == 1
+    # W = 1 runs mst_weight with no thresholds, so the report is a full one
+    assert doc["m"] == 1 and doc["params"]["s"] == 2
 
 
 def test_run_disc_report(capsys):
@@ -167,6 +187,17 @@ def test_verify_mutation_detected(capsys):
     with mutated_depth_gap(canonical.DEPTH_GAP + 1):
         result = check_exact_probabilities(trials=2000)
     assert not result.passed
+
+
+def test_verify_mutation_prints_fail_lines(capsys):
+    # Under the mutation the canonical disc construction breaks depth
+    # stability; the check must fail with a line, not a traceback.
+    rc = main(["verify", "--only", "canonical-replay", "--fast",
+               "--mutate", "depth-gap"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] canonical-replay: InvariantError" in out
+    assert "1 of 1 checks failed" in out
 
 
 def test_params_documentation(capsys):

@@ -94,15 +94,20 @@ def test_one_detector_per_root_matches_one_per_target_size(n, m, seed, tau,
     assert rep.peak_tree_slots <= s * (k_max + 1)
 
 
-def test_num_cc_read_once_check_is_a_typed_error():
+@pytest.mark.parametrize("estimate", [
+    lambda s, n, p: num_cc(s, n, p),
+    lambda s, n, p: num_disc(s, n, 1, 2, p),
+    lambda s, n, p: mst_weight(s, n, 3, p),
+], ids=["num_cc", "num_disc", "mst_weight"])
+def test_read_once_check_is_a_typed_error(estimate):
     class Overstated(EdgeStream):
         def __len__(self):
             return super().__len__() + 1
 
-    g = mixed_components(edges_=3)
-    stream = Overstated(shuffle_stream(g, 1).edges)
+    g = Graph(4, [edge(1, 2, 1), edge(2, 3, 2), edge(3, 4, 3)], weighted=True)
+    stream = Overstated(shuffle_stream(g, 1).edges, weighted=True, W=3)
     with pytest.raises(StreamscopeError, match="exactly once"):
-        num_cc(stream, g.n, EstimatorParams(tau=0.3, s=3, k_max=2))
+        estimate(stream, g.n, EstimatorParams(tau=0.3, s=3, k_max=2))
 
 
 def test_num_cc_slot_bound_is_a_typed_error():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, strategies as st
 from streamscope.errors import (BadWeightError, DuplicateEdgeError,
                                 LabelOutOfRangeError, ParseError,
                                 SelfLoopError)
-from streamscope.graphs import (Graph, edge, load_edge_list, neighbors_sorted,
+from streamscope.graphs import (Graph, edge, load_edge_list,
                                 serialize_edge_list, truncate_high_degree)
 
 
@@ -60,14 +60,14 @@ def test_header_and_comments():
 
 def test_neighbors_sorted_examples():
     star = Graph(4, [edge(1, 4), edge(1, 2), edge(1, 3)])
-    assert neighbors_sorted(star, 1) == (2, 3, 4)
-    assert neighbors_sorted(star, 2) == (1,)
+    assert star.neighbors_sorted(1) == (2, 3, 4)
+    assert star.neighbors_sorted(2) == (1,)
     iso = Graph(3, [edge(1, 2)])
-    assert neighbors_sorted(iso, 3) == ()
+    assert iso.neighbors_sorted(3) == ()
     path = Graph(3, [edge(1, 2), edge(2, 3)])
-    assert neighbors_sorted(path, 2) == (1, 3)
+    assert path.neighbors_sorted(2) == (1, 3)
     with pytest.raises(LabelOutOfRangeError):
-        neighbors_sorted(path, 9)
+        path.neighbors_sorted(9)
 
 
 def test_truncate_examples():

@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamscope.errors import BadWError, UnweightedStreamError
+from streamscope.errors import (BadWError, StreamscopeError,
+                               UnweightedStreamError)
 from streamscope.graphs import Graph, edge
 from streamscope.streams import (CountingStream, sample_lambda_online,
                                  shuffle_stream, split_seed, threshold_view)
@@ -121,6 +122,16 @@ def test_counting_stream_single_pass():
     c = CountingStream(s)
     assert len(list(c)) == 3 and c.reads == 3
     with pytest.raises(RuntimeError):
+        list(c)
+
+
+def test_counting_stream_refuses_a_short_pass():
+    class Overstated(type(shuffle_stream(TRIANGLE, 3))):
+        def __len__(self):
+            return super().__len__() + 1
+
+    c = CountingStream(Overstated(TRIANGLE.edges))
+    with pytest.raises(StreamscopeError, match="read 3 of 4"):
         list(c)
 
 
