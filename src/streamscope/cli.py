@@ -20,8 +20,7 @@ from .errors import (BadWeightError, BadWError, ComponentTooLargeError,
                      StreamscopeError)
 from .estimators import (EstimatorParams, cc_param_scales, disc_param_scales,
                          mis_estimate, mst_weight, num_cc, num_disc)
-from .graphs import (Edge, EdgeLines, Graph, load_edge_list,
-                     serialize_edge_list)
+from .graphs import Edge, EdgeLines, Graph, serialize_edge_list
 from .oracles import (exact_cc_histogram, exact_disc_freq, exact_mis,
                       kruskal_mst, make_component_mis_oracle)
 from .streams import (EdgeStream, given_order_stream, shuffle_stream,
@@ -65,23 +64,25 @@ class ConfigError(Exception):
     pass
 
 
-def _load_graph(args) -> Tuple[Graph, int]:
-    """Load or generate the input graph and its vertex count, insisting on
-    an explicit count: isolated vertices never appear in an edge stream, so
-    n must come from --n, an n= header, or the generator."""
+def _load_graph(args) -> Graph:
+    """Load or generate the input graph, insisting on an explicit vertex
+    count: isolated vertices never appear in an edge stream, so n must come
+    from --n, an n= header, or the generator (which --n may only repeat)."""
     if args.gen:
         g = _generate(args.gen)
-    else:
-        with open(args.input, "rb") as fh:
-            text = fh.read()
-        had_header = any(line.strip().startswith(b"n=")
-                         for line in text.splitlines())
-        if args.n is None and not had_header:
-            raise ConfigError(
-                "--n is required when the edge list carries no n= header")
-        g = load_edge_list(text, n_override=args.n,
-                           w_override=getattr(args, "W", None))
-    return g, args.n if args.n is not None else g.n
+        if args.n is not None and args.n != g.n:
+            raise ConfigError(f"--n {args.n} does not match the generated "
+                              f"graph's n={g.n}")
+        return g
+    with open(args.input, "rb") as fh:
+        lines = EdgeLines(fh.read().decode("utf-8").splitlines(), args.n)
+    edges = list(lines)
+    if lines.n is None:
+        raise ConfigError(
+            "--n is required when the edge list carries no n= header")
+    return Graph(lines.n, edges,
+                 weighted=bool(edges) and edges[0].w is not None,
+                 W=getattr(args, "W", None))
 
 
 def _generate(spec: str) -> Graph:
@@ -136,7 +137,8 @@ def cmd_run_cc(args) -> int:
         n = args.n
         stream = _LazyFileStream(args.input, n, weighted=False)
     else:
-        g, n = _load_graph(args)
+        g = _load_graph(args)
+        n = g.n
         if args.exact:
             hist = exact_cc_histogram(g)
             doc = {"algorithm": "num-cc-exact", "n": n,
@@ -150,45 +152,45 @@ def cmd_run_cc(args) -> int:
 
 
 def cmd_run_mst(args) -> int:
-    g, n = _load_graph(args)
+    g = _load_graph(args)
     W = args.W if args.W is not None else g.W
     if W is None:
         raise BadWError("weighted input or --W required")
     if args.exact:
-        doc = {"algorithm": "mst-weight-exact", "n": n, "W": W,
+        doc = {"algorithm": "mst-weight-exact", "n": g.n, "W": W,
                "estimate": kruskal_mst(g)}
         _emit(args, json.dumps(doc, sort_keys=True) + "\n")
         return EXIT_OK
-    report = mst_weight(_stream_for(args, g), n, W, _params(args))
+    report = mst_weight(_stream_for(args, g), g.n, W, _params(args))
     _emit(args, report.to_json())
     return EXIT_OK
 
 
 def cmd_run_disc(args) -> int:
-    g, n = _load_graph(args)
+    g = _load_graph(args)
     if args.exact:
         hist = exact_disc_freq(g, args.k, args.d)
-        doc = {"algorithm": "num-disc-exact", "n": n, "k": args.k, "d": args.d,
+        doc = {"algorithm": "num-disc-exact", "n": g.n, "k": args.k, "d": args.d,
                "per_type": {dt.hex: c for dt, c in sorted(hist.items())}}
         _emit(args, json.dumps(doc, sort_keys=True) + "\n")
         return EXIT_OK
-    report = num_disc(_stream_for(args, g), n, args.k, args.d, _params(args))
+    report = num_disc(_stream_for(args, g), g.n, args.k, args.d, _params(args))
     _emit(args, report.to_json())
     return EXIT_OK
 
 
 def cmd_run_mis(args) -> int:
-    g, n = _load_graph(args)
+    g = _load_graph(args)
     if args.exact:
         size, witness = exact_mis(g, args.mis_component_cap)
-        doc = {"algorithm": "mis-exact", "n": n, "estimate": size,
+        doc = {"algorithm": "mis-exact", "n": g.n, "estimate": size,
                "witness": witness}
         _emit(args, json.dumps(doc, sort_keys=True) + "\n")
         return EXIT_OK
     oracle = make_component_mis_oracle(g, args.mis_component_cap)
-    report = num_disc(_stream_for(args, g), n, args.k + 1, args.d,
+    report = num_disc(_stream_for(args, g), g.n, args.k + 1, args.d,
                       _params(args))
-    mis = mis_estimate(report, n, args.d, args.k, args.mis_samples, oracle,
+    mis = mis_estimate(report, g.n, args.d, args.k, args.mis_samples, oracle,
                        seed=split_seed(args.seed, "mis"),
                        oracle_name="exact-component")
     _emit(args, mis.to_json())
@@ -327,7 +329,7 @@ def main(argv=None) -> int:
     except (BadWeightError, BadWError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WEIGHT
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except StreamscopeError as exc:

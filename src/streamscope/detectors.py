@@ -169,32 +169,42 @@ class DetectorGrid:
             raise OutOfOrderTimeStepError(
                 f"time step {t} after {self.last_t}")
         self.last_t = t
-        watchers = self._index.get(a, ())
-        other = self._index.get(b, ())
-        if watchers or other:
-            hit = set(watchers)
-            hit.update(other)
-            dead = []
-            for i in hit:
-                det = self.detectors[i]
-                added = det.update(a, b, t)
-                if added is not None:
-                    self._index.setdefault(added, set()).add(i)
-                    self._members[i].append(added)
-                    self._slots += 1
-                    if self._slots > self.peak_slots:
-                        self.peak_slots = self._slots
-                if det.status == DEAD:
-                    dead.append(i)
-            for i in dead:
-                for v in self._members[i]:
-                    bucket = self._index.get(v)
-                    if bucket is not None:
-                        bucket.discard(i)
-                        if not bucket:
-                            del self._index[v]
-                self._slots -= len(self._members[i])
-                self._members[i] = []
+        index = self._index
+        hit = index.get(a)
+        other = index.get(b)
+        if hit is None:
+            if other is None:
+                return
+            hit = other
+        elif other is not None:
+            hit = hit | other
+        # Buckets are never empty. With one endpoint watched, an update can
+        # only add the other endpoint, so the bucket iterated is not changed.
+        detectors = self.detectors
+        members = self._members
+        dead = None
+        for i in hit:
+            det = detectors[i]
+            added = det.update(a, b, t)
+            if added is not None:
+                index.setdefault(added, set()).add(i)
+                members[i].append(added)
+                self._slots += 1
+                if self._slots > self.peak_slots:
+                    self.peak_slots = self._slots
+            if det.status == DEAD:
+                if dead is None:
+                    dead = []
+                dead.append(i)
+        for i in dead or ():
+            for v in members[i]:
+                bucket = index.get(v)
+                if bucket is not None:
+                    bucket.discard(i)
+                    if not bucket:
+                        del index[v]
+            self._slots -= len(members[i])
+            members[i] = []
 
     def finalize(self, lam: int) -> List:
         return [det.finalize(lam) for det in self.detectors]

@@ -12,6 +12,8 @@ exact first-phase collection probability.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import random
@@ -373,10 +375,11 @@ def mis_estimate(disc_report: DiscReport, n: int, d: int, k: int,
     """Estimate maximum-independent-set size from disc-type frequencies.
 
     Types are sampled proportionally to their (positive) estimated
-    frequencies; each draw picks one recorded witness root of the type,
-    projects a representative extended disc down to the d-bounded k-disc, and
+    frequencies; each draw picks one recorded witness root of the type and
     asks the membership oracle whether that root belongs to the chosen
-    independent set of its part. The answer fraction scales to n.
+    independent set of its part, showing it the type's representative
+    extended disc projected down to the d-bounded k-disc (built once per
+    type). The answer fraction scales to n.
 
     The disc report must have been built at radius k+1 with budget d.
     """
@@ -390,21 +393,22 @@ def mis_estimate(disc_report: DiscReport, n: int, d: int, k: int,
                 if c > 0.0]
     if not weighted:
         raise AllEstimatesNonpositiveError("no type has a positive estimate")
-    total_w = sum(c for _, c in weighted)
-    cumulative = []
-    acc = 0.0
-    for dt, c in weighted:
-        acc += c
-        cumulative.append((acc, dt))
+    cumulative = list(itertools.accumulate(c for _, c in weighted))
+    # the table's own last entry is the total, so every draw lands in it
+    total_w = cumulative[-1]
     rng = random.Random(split_seed(seed, "mis-sampling"))
     accepted = 0
+    views = {}  # the projected local view of each type drawn so far
     for _ in range(samples):
         x = rng.random() * total_w
-        chosen = next(dt for acc_w, dt in cumulative if x <= acc_w)
+        chosen = weighted[bisect.bisect_left(cumulative, x)][0]
         roots = disc_report.witness_roots[chosen]
         root = roots[rng.randrange(len(roots))]
-        gamma = materialize_disc(chosen, k + 1, d)
-        local_view = materialize_disc(project_extended_disc(gamma, k, d), k, d)
+        local_view = views.get(chosen)
+        if local_view is None:
+            gamma = materialize_disc(chosen, k + 1, d)
+            local_view = views[chosen] = materialize_disc(
+                project_extended_disc(gamma, k, d), k, d)
         if oracle(local_view, root):
             accepted += 1
     return MisReport(n=n, k=k, d=d, samples=samples, accepted=accepted,

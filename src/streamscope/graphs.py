@@ -116,8 +116,8 @@ class EdgeLines:
     Lines hold "u v" or "u v w" (whitespace separated); '#' starts a comment;
     an optional "n=<int>" line, allowed only as the first data line, sets
     `n` when the caller gave none. All lines must agree on whether a weight
-    column is present. Labels must be >= 1, and <= n once n is known; self
-    loops are refused.
+    column is present. Labels must be >= 1, and <= n once n is known;
+    weights must be >= 1; self loops are refused.
     """
 
     def __init__(self, lines: Iterable[str], n: Optional[int] = None):
@@ -163,6 +163,8 @@ class EdgeLines:
             if self.n is not None and max(u, v) > self.n:
                 raise LabelOutOfRangeError(
                     f"line {line_no}: label {max(u, v)} > n={self.n}")
+            if has_w and nums[2] < 1:
+                raise BadWeightError(f"line {line_no}: weight {nums[2]} < 1")
             yield edge(u, v, nums[2] if has_w else None)
 
 

@@ -79,9 +79,10 @@ def mst_identity_value(g: Graph) -> int:
 
 
 def _component_subgraph(g: Graph, vertices: List[int]) -> Tuple[List[int], List[Tuple[int, int]]]:
-    inside = set(vertices)
-    edges = [(e.u, e.v) for e in g.edges if e.u in inside and e.v in inside]
-    return sorted(inside), edges
+    """Sorted vertices and (u, w), u < w, edges of one whole component, in
+    g.edges order. Adjacency lists keep the work O(component), not O(m)."""
+    vs = sorted(vertices)
+    return vs, [(u, w) for u in vs for w in g.neighbors_sorted(u) if u < w]
 
 
 def _max_independent_sets(vertices: List[int], edges: List[Tuple[int, int]]):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from streamscope.cli import main
 from streamscope.corpus import cc_benchmark
@@ -82,6 +87,98 @@ def test_given_order_stream_validates_lines(tmp_path, capsys, body):
     assert rc == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n,rc", [("50", 2), ("3", 2), ("6", 0)])
+def test_gen_vertex_count_must_match(capsys, n, rc):
+    # triangles:2 has 6 vertices; --n may repeat that count, not change it
+    code = main(["run-cc", "--gen", "triangles:2", "--n", n, "--tau", "0.3",
+                 "--samples", "20", "--kmax", "3"])
+    out, err = capsys.readouterr()
+    assert code == rc
+    if rc:
+        assert out == ""
+        assert err.startswith("error: --n ") and err.count("\n") == 1
+    else:
+        assert json.loads(out)["n"] == 6
+
+
+_VALID_EDGES = [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (4, 8)]
+
+# One faulty line per kind, for a document on n = 8 whose weights are
+# 1..3 when it has a weight column; "{w}" is that column.
+_FAULTS = {
+    "self-loop": "3 3{w}",
+    "label-zero": "0 2{w}",
+    "negative-label": "-1 2{w}",
+    "label-above-n": "2 9{w}",
+    "non-integer": "2 x{w}",
+    "decimal": "2.5 3{w}",
+    "one-field": "7",
+    "four-fields": "1 2 3 4",
+    "duplicate": "2 1{w}",
+    "late-header": "n=8",
+    "bad-header": "n=x",
+    "weight-zero": "1 5 0",
+    "weight-above-W": "1 5 9",
+    "mixed-weights": None,
+    "garbage": None,
+    "bad-utf8": None,
+}
+
+
+@given(st.sampled_from(sorted(_FAULTS)), st.sampled_from(("run-cc", "run-mst")),
+       st.booleans(), st.booleans(), st.booleans(),
+       st.integers(0, len(_VALID_EDGES)),
+       st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_malformed_edge_list_is_one_line_error(kind, command, weighted,
+                                               header, given_order, at,
+                                               garbage):
+    """Any malformed edge list ends in one stderr line, exit 3 (input) or 4
+    (weight), no report and no traceback."""
+    weighted = weighted or command == "run-mst"
+    given_order = given_order and command == "run-cc"
+    # the given-order replay cannot see duplicates in constant space, and
+    # run-cc takes any weight W
+    assume(not (given_order and kind == "duplicate"))
+    assume(not (command == "run-cc" and kind == "weight-above-W"))
+    if kind == "late-header":
+        at = max(at, 1)
+    w = " 2" if weighted else ""
+    lines = [f"{u} {v}{w}".encode() for u, v in _VALID_EDGES]
+    if kind == "mixed-weights":
+        bad = b"1 5" if weighted else b"1 5 2"
+    elif kind == "garbage":
+        bad = ("x" + garbage).encode("utf-8")
+    elif kind == "bad-utf8":
+        bad = b"1 \xff"
+    else:
+        bad = _FAULTS[kind].format(w=w).encode()
+    lines.insert(at, bad)
+    if header:
+        lines.insert(0, b"n=8")
+    argv = [command, "--tau", "0.3", "--samples", "4", "--kmax", "2"]
+    if not header or given_order:
+        argv += ["--n", "8"]
+    if command == "run-mst":
+        argv += ["--W", "3"]
+    if given_order:
+        argv += ["--stream-order", "given"]
+    fd, path = tempfile.mkstemp(suffix=".el")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv + ["--input", path])
+    finally:
+        os.unlink(path)
+    assert rc in (3, 4), (rc, err.getvalue())
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
 
 
 def test_weight_error_exit_4(tmp_path, capsys):

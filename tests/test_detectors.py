@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamscope.canonical import (RootedDisc, RootedTree, cano_disc,
                                    disc_code, is_violating_disc,
@@ -254,3 +254,48 @@ def test_disc_grid_matches_sequential():
                 det.update(a, b, t)
         lam = rng.randint(0, len(stream))
         assert grid.finalize(lam) == [d.finalize(lam) for d in dets_seq]
+
+
+detector_specs = st.lists(
+    st.tuples(st.sampled_from(("tree", "disc")), st.integers(1, 7),
+              st.integers(0, 4), st.integers(1, 3)),
+    min_size=1, max_size=10)
+
+
+def _make_detectors(specs):
+    return [TreeDetector(root, max(k, 1)) if kind == "tree"
+            else DiscDetector(root, k, d) for kind, root, k, d in specs]
+
+
+@given(detector_specs, edge_seqs, st.integers(0, 12))
+@example([("tree", 1, 2, 1), ("disc", 3, 1, 2), ("tree", 5, 1, 1)],
+         [(1, 2), (2, 3), (1, 3), (5, 6)], 2)
+@settings(max_examples=300, deadline=None)
+def test_grid_matches_sequential_detectors(specs, seq, lam):
+    """Tree and disc detectors behind the grid end exactly as the same
+    detectors fed every edge in turn. After each edge the index holds the
+    members of the live detectors only, so a dead detector's vertices are
+    unwatched, and peak_slots is the largest sum over the detectors live
+    before an edge of their member counts after it (a detector that dies
+    on the edge keeps its count from before)."""
+    reference = _make_detectors(specs)
+    grid = DetectorGrid(_make_detectors(specs))
+    peak = sum(len(list(det.member_vertices())) for det in reference)
+    assert grid.peak_slots == peak
+    for t, (a, b) in enumerate(seq, start=1):
+        live = [(det, len(list(det.member_vertices()))) for det in reference
+                if det.status == ACTIVE]
+        grid.feed(a, b, t)
+        for det in reference:
+            det.update(a, b, t)
+        peak = max(peak, sum(len(list(det.member_vertices()))
+                             if det.status == ACTIVE else before
+                             for det, before in live))
+        watched = {}
+        for i, det in enumerate(reference):
+            if det.status == ACTIVE:
+                for v in det.member_vertices():
+                    watched.setdefault(v, set()).add(i)
+        assert grid._index == watched
+        assert grid.peak_slots == peak
+    assert grid.finalize(lam) == [det.finalize(lam) for det in reference]

@@ -1,9 +1,14 @@
 import math
+import random
 import statistics
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamscope import estimators
+from streamscope.canonical import (disc_code, materialize_disc,
+                                   project_extended_disc)
 from streamscope.corpus import mixed_components, random_graph, weighted_path
 from streamscope.detectors import GOOD, run_tree_detector
 from streamscope.errors import (AllEstimatesNonpositiveError,
@@ -234,6 +239,57 @@ def test_mis_exact_pipeline_expectation_is_mis():
     mis = mis_estimate(rep, g.n, 2, 2, 6000, oracle, seed=29)
     sigma = math.sqrt((size / g.n) * (1 - size / g.n) / 6000) * g.n
     assert abs(mis.estimate - size) <= 3.5 * sigma
+
+
+def test_mis_estimate_top_draw_picks_last_positive_type(monkeypatch):
+    # The largest value random() can return must land on the last type with
+    # a positive estimate. Added left to right these weights end at
+    # 123.29999999999998, but their compensated sum (math.fsum, and sum()
+    # from Python 3.12 on) is 123.30000000000001: a total taken apart from
+    # the cumulative table would put that draw past the table's end.
+    weights = [36.1, 46.5, 21.1, 19.6]
+    assert math.fsum(weights) > (((36.1 + 46.5) + 21.1) + 19.6)
+
+    class TopDraw(random.Random):
+        def random(self):
+            return 1.0 - 2.0 ** -53
+
+        def getrandbits(self, k):
+            # keeps randrange on getrandbits, as in random.Random itself
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(estimators, "random",
+                        types.SimpleNamespace(Random=TopDraw))
+    g = mixed_components(triangles=2, edges_=2, p3s=2, singletons=1)
+    rep = disc_report_from_exact(g, 3, 2)
+    order = sorted(rep.per_type)
+    assert len(order) == len(weights) + 1
+    rep.per_type = dict(zip(order, weights + [0.0]))
+    asked = []
+    mis = mis_estimate(rep, g.n, 2, 2, 20,
+                       lambda view, root: asked.append(root) or True, seed=5)
+    assert mis.accepted == 20
+    assert set(asked) <= set(rep.witness_roots[order[-2]])
+
+
+def test_mis_estimate_shows_the_drawn_types_projected_view():
+    # The oracle's local view is the drawn type's extended disc projected to
+    # the d-bounded k-disc, whichever earlier draws built it.
+    g = mixed_components(triangles=3, edges_=3, p3s=3, singletons=2)
+    rep = disc_report_from_exact(g, 3, 2)
+    type_of = {r: dt for dt, roots in rep.witness_roots.items()
+               for r in roots}
+    seen = []
+
+    def oracle(view, root):
+        expected = project_extended_disc(
+            materialize_disc(type_of[root], 3, 2), 2, 2)
+        assert disc_code(view) == expected
+        seen.append(type_of[root])
+        return True
+
+    mis_estimate(rep, g.n, 2, 2, 200, oracle, seed=3)
+    assert len(set(seen)) == len(rep.per_type)
 
 
 def test_mis_estimate_validates_radius():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -89,6 +90,46 @@ def test_component_oracle_matches_witness():
     member = {v for v in range(1, g.n + 1) if oracle(None, v)}
     assert member == set(witness)
     assert len(member) == size
+
+
+def _brute_force_mis(g):
+    """Lexicographically smallest maximum independent set, by subset search
+    in decreasing size and, within a size, in lexicographic order."""
+    adjacent = {(e.u, e.v) for e in g.edges}
+    for size in range(g.n, -1, -1):
+        for subset in itertools.combinations(range(1, g.n + 1), size):
+            if not any(pair in adjacent
+                       for pair in itertools.combinations(subset, 2)):
+                return size, list(subset)
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       st.lists(st.booleans(), min_size=66, max_size=66))
+@settings(max_examples=150, deadline=None)
+def test_exact_mis_and_oracle_match_brute_force(groups, keep):
+    # Vertex v joins group groups[v-1]; a same-group pair is an edge when
+    # its keep bit is set, so the graph falls into several small components
+    # whose labels interleave.
+    n = len(groups)
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    g = Graph(n, [edge(u, v) for (u, v), bit in zip(pairs, keep)
+                  if bit and groups[u - 1] == groups[v - 1]])
+    size, witness = _brute_force_mis(g)
+    assert exact_mis(g, size_cap=12) == (size, witness)
+    oracle = make_component_mis_oracle(g, 12)
+    assert [v for v in range(1, n + 1) if oracle(None, v)] == witness
+
+
+def test_component_oracle_refuses_a_drawn_component_above_cap():
+    # a 9-path next to two edges: the small components answer, the path
+    # raises only when one of its roots is drawn
+    g = Graph(13, [edge(i, i + 1) for i in range(1, 9)]
+              + [edge(10, 11), edge(12, 13)])
+    oracle = make_component_mis_oracle(g, 5)
+    assert [oracle(None, v) for v in (10, 11, 12, 13)] == [True, False,
+                                                           True, False]
+    with pytest.raises(ComponentTooLargeError):
+        oracle(None, 4)
 
 
 def test_disc_freq_triangles():
