@@ -15,7 +15,7 @@ edge order through a detector reproduce the construction exactly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .errors import (
     DiscTooLargeError,
@@ -215,8 +215,11 @@ class RootedDisc:
         return dist
 
 
-def disc_update(f: RootedDisc, a: int, b: int) -> str:
+def disc_update(f: RootedDisc, a: int, b: int) -> Union[str, int]:
     """Apply one arriving edge under the extended-disc collection rule.
+
+    Returns "violating", "ignored", "accepted" (an edge between two collected
+    vertices was kept), or the label of the vertex the edge attached.
 
     The violating test of classify_edge runs first; then an edge joining two
     collected vertices is always kept (it cannot move any depth once the gap
@@ -252,7 +255,7 @@ def disc_update(f: RootedDisc, a: int, b: int) -> str:
         f.anchored_max[u] = w
     if du + 1 > f.maxdep:
         f.maxdep = du + 1
-    return "accepted"
+    return w
 
 
 def is_violating_disc(f: RootedDisc, e: Edge) -> bool:
@@ -284,14 +287,14 @@ def _grow_cano_disc(g: Graph, v: int, k: int, d: int):
             if key in f.edges:
                 continue
             before = dict(f.dep)
-            new_vertex = w not in f.dep
-            if disc_update(f, u, w) == "accepted":
+            res = disc_update(f, u, w)
+            if res == "accepted" or res == w:
                 order.append((u, w))
                 after = f.recompute_depths()
                 if any(after[x] != dx for x, dx in before.items()):
                     raise InvariantError(f"accepted edge ({u},{w}) moved a "
                                          f"collected depth")
-                if new_vertex:
+                if res == w:
                     queue.append(w)
     return f, order
 

@@ -112,20 +112,15 @@ class DiscDetector:
         self.t_seen = t
         if self.status != ACTIVE or self.k == 0:
             return None
-        disc = self.disc
-        known_b = b in disc.dep
-        known_a = a in disc.dep
-        res = canonical.disc_update(disc, a, b)
-        if res == "violating":
-            self.status = DEAD
-            self.reason = BAD_VIOLATING
-            return None
+        res = canonical.disc_update(self.disc, a, b)
+        if isinstance(res, int):
+            self.t_last = t
+            return res
         if res == "accepted":
             self.t_last = t
-            if not known_a:
-                return a
-            if not known_b:
-                return b
+        elif res == "violating":
+            self.status = DEAD
+            self.reason = BAD_VIOLATING
         return None
 
     def finalize(self, lam: int):

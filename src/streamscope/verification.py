@@ -1,13 +1,15 @@
 """Named verification checks: every probability and identity the library can
 verify at desk scale, each as one pass/fail line.
 
-The Monte-Carlo sweep shares one replay per (edge order, root) across all
-target sizes k: a size-k collector behaves exactly like the unbounded replay
-until it accepts its k-th edge and dies of overgrowth, so the profile of
-accept times plus the first violation time determines every k at once.
-The sweep enumerates each graph's exact profiles once for all tau, and
-memoizes each distinct edge order's replay across its trials. Property
-tests cross-check these reductions against the real detectors.
+The enumerator vs Monte-Carlo sweep replays each (edge order, root) of a
+tiny graph once. A size-k collector behaves exactly like the unbounded
+replay until it accepts its k-th edge and dies of overgrowth, so the
+profile of accept times plus the first violation time determines every k
+at once; an order leaves each root pending in at most one cell. The table
+from every order to its pending cells is built once per graph: the exact
+side counts its t_last values for each tau, and every Monte-Carlo trial
+looks its drawn order up in it. Property tests cross-check these
+reductions against the real detectors and the enumerator.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .canonical import (bounded_disc_code, cano_disc,
 from .corpus import all_graphs_up_to, random_connected_weighted, random_graph
 from .detectors import (BAD_SMALL, GOOD, run_disc_detector, run_tree_detector)
 from .enumeration import (binomial_tails, enumerate_outcomes,
-                          montecarlo_outcomes, profile_outcome,
-                          tree_replay_profile, _as_fraction)
+                          montecarlo_outcomes, tree_replay_profile,
+                          _as_fraction)
 from .errors import StreamscopeError
 from .graphs import Graph, connected_components, edge
 from .oracles import kruskal_mst, mst_identity_value
@@ -103,66 +105,63 @@ def check_exact_probabilities(trials: int = 1_000_000,
 
 
 def _tree_good_profiles(g: Graph, k_max: int):
-    """Per (root, k): list of (kind, value) permutation outcomes, where kind
-    "pending" carries t_last and everything else is threshold-independent."""
-    edges = [(e.u, e.v) for e in g.edges]
-    counts: Dict[Tuple[int, int], Counter] = {
-        (v, k): Counter() for v in range(1, g.n + 1) for k in range(1, k_max + 1)}
-    n_perms = 0
-    for order in itertools.permutations(edges):
-        n_perms += 1
+    """Map each edge order of g to its pending cells [((root, k), t_last)].
+
+    Good can only land on the k matching a root's final tree size (smaller k
+    overflow, larger k starve), so an order leaves a root pending in at most
+    one cell: k is that size when the root saw no violation and k <= k_max,
+    and t_last is its last accept time (0 for a bare root). Every other
+    (root, k) cell is Bad whatever the threshold. One replay per (order,
+    root) serves both the exact and the Monte-Carlo side of the sweep.
+    """
+    table: Dict[tuple, List[Tuple[Tuple[int, int], int]]] = {}
+    for order in itertools.permutations([(e.u, e.v) for e in g.edges]):
+        cells = table[order] = []
         for v in range(1, g.n + 1):
             accepts, t_violate = tree_replay_profile(order, v)
-            for k in range(1, k_max + 1):
-                category, t_last = profile_outcome(accepts, t_violate, k)
-                if category == "pending":
-                    counts[(v, k)][("pending", t_last)] += 1
-                else:
-                    counts[(v, k)][("fixed", category)] += 1
-    return counts, n_perms
+            k = len(accepts) + 1
+            if t_violate is None and k <= k_max:
+                cells.append(((v, k), accepts[-1] if accepts else 0))
+    return table
+
+
+def _last_time_counts(table) -> Dict[Tuple[int, int], Counter]:
+    """Per pending cell, how many edge orders leave it pending at each
+    t_last."""
+    counts: Dict[Tuple[int, int], Counter] = {}
+    for cells in table.values():
+        for cell, t_last in cells:
+            counts.setdefault(cell, Counter())[t_last] += 1
+    return counts
 
 
 def exact_good_probability(counts: Counter, n_perms: int,
                            tails: List[Fraction]) -> Fraction:
-    """Good probability of one cell; tails = binomial_tails(m, tau)."""
-    total = Fraction(0)
-    for (kind, value), c in counts.items():
-        if kind == "pending":
-            total += c * tails[value]
-    return total / n_perms
+    """Good probability of one cell from its t_last counts over n_perms
+    orders; tails = binomial_tails(m, tau)."""
+    return sum((c * tails[t] for t, c in counts.items()),
+               Fraction(0)) / n_perms
 
 
-def montecarlo_good_counts(g: Graph, tau: float, trials: int, seed: int,
-                           k_max: int) -> Dict[Tuple[int, int], int]:
+def montecarlo_good_counts(g: Graph, table, tau: float, trials: int,
+                           seed: int, k_max: int) -> Dict[Tuple[int, int], int]:
     """Shared-trial empirical Good counts for every (root, k) cell.
 
-    Good can only land on the k matching a root's final tree size (smaller k
-    overflow, larger k starve), so an edge order fixes, per root, at most one
-    cell and its last-accept time. Those are memoized per distinct order
-    (m <= 6 edges allow at most 720); every trial still draws its shuffle
-    and its coins, so the random draws are the same as without the memo.
+    Each trial draws its shuffle and its coins exactly as the stream
+    generator does, then looks its order up in `table`
+    (_tree_good_profiles): a pending cell is Good when its t_last is within
+    the trial's threshold.
     """
     perm_rng = random.Random(split_seed(seed, "permutation"))
     coin_rng = random.Random(split_seed(seed, "coins"))
     edges = [(e.u, e.v) for e in g.edges]
     m = len(edges)
-    roots = range(1, g.n + 1)
-    good: Dict[Tuple[int, int], int] = {(v, k): 0 for v in roots
+    good: Dict[Tuple[int, int], int] = {(v, k): 0 for v in range(1, g.n + 1)
                                         for k in range(1, k_max + 1)}
-    pending: Dict[tuple, List[Tuple[Tuple[int, int], int]]] = {}
     for _ in range(trials):
         _fisher_yates(edges, perm_rng)
         lam = _count_heads(m, tau, coin_rng)
-        order = tuple(edges)
-        cells = pending.get(order)
-        if cells is None:
-            cells = pending[order] = []
-            for v in roots:
-                accepts, t_violate = tree_replay_profile(order, v)
-                k = len(accepts) + 1
-                if t_violate is None and k <= k_max:
-                    cells.append(((v, k), accepts[-1] if accepts else 0))
-        for cell, t_last in cells:
+        for cell, t_last in table[tuple(edges)]:
             if t_last <= lam:
                 good[cell] += 1
     return good
@@ -171,19 +170,20 @@ def montecarlo_good_counts(g: Graph, tau: float, trials: int, seed: int,
 def _sweep_cell_violations(g: Graph, runs, trials: int,
                            k_max: int) -> List[Tuple[int, int, List[str]]]:
     """(cells, violations, messages) for each (tau, seed) in runs. The
-    exact profiles do not depend on tau, so they are enumerated once."""
-    counts, n_perms = _tree_good_profiles(g, k_max)
+    order table does not depend on tau, so it is built once."""
+    table = _tree_good_profiles(g, k_max)
+    counts = _last_time_counts(table)
     out = []
     for tau, seed in runs:
-        good = montecarlo_good_counts(g, tau, trials, seed, k_max)
+        good = montecarlo_good_counts(g, table, tau, trials, seed, k_max)
         tails = binomial_tails(g.m, _as_fraction(tau))
         cells = violations = 0
         messages: List[str] = []
         for v in range(1, g.n + 1):
             for k in range(1, k_max + 1):
                 cells += 1
-                p = float(exact_good_probability(counts[(v, k)], n_perms,
-                                                 tails))
+                p = float(exact_good_probability(
+                    counts.get((v, k), Counter()), len(table), tails))
                 p_hat = good[(v, k)] / trials
                 sigma = math.sqrt(p * (1 - p) / trials)
                 ok = abs(p_hat - p) <= 3 * sigma if sigma > 0 else p_hat == p

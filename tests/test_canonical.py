@@ -107,14 +107,15 @@ def test_cano_disc_triangle_k1():
 def test_violating_disc_examples():
     f = RootedDisc(1, 2, 2)
     from streamscope.canonical import disc_update
-    assert disc_update(f, 1, 3) == "accepted"
+    assert disc_update(f, 1, 3) == 3
     assert is_violating_disc(f, edge(1, 2)) is True
 
     g = RootedDisc(1, 3, 2)
     for a, b in ((1, 2), (1, 3), (2, 4)):
-        assert disc_update(g, a, b) == "accepted"
+        assert disc_update(g, a, b) == b
     assert is_violating_disc(g, edge(3, 4)) is False
     assert is_violating_disc(g, edge(8, 9)) is False
+    assert disc_update(g, 2, 3) == "accepted"
 
 
 def test_disc_code_relabeling_invariance():

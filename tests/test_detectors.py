@@ -184,14 +184,16 @@ def test_profile_reduction_matches_detector(seq, root, k, lam):
     (5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)]),
 ])
 def test_montecarlo_good_counts_matches_fresh_detectors(n, pairs):
-    """The sweep's memoized shared-trial counts equal a direct replay of
+    """The sweep's table-driven shared-trial counts equal a direct replay of
     every trial's order through fresh detectors on the same draws."""
     from streamscope.streams import _count_heads, _fisher_yates, split_seed
-    from streamscope.verification import montecarlo_good_counts
+    from streamscope.verification import (_tree_good_profiles,
+                                          montecarlo_good_counts)
 
     g = Graph(n, [edge(u, v) for u, v in pairs])
     tau, trials, seed, k_max = 0.5, 300, 11, 5
-    got = montecarlo_good_counts(g, tau, trials, seed, k_max)
+    got = montecarlo_good_counts(g, _tree_good_profiles(g, k_max), tau,
+                                 trials, seed, k_max)
     perm_rng = random.Random(split_seed(seed, "permutation"))
     coin_rng = random.Random(split_seed(seed, "coins"))
     order = [(e.u, e.v) for e in g.edges]
@@ -220,12 +222,13 @@ def test_disc_detector_matches_standalone_predicate(seq, root, k, d):
             det.update(a, b, t)
             continue
         expected = is_violating_disc(shadow, edge(a, b))
-        det.update(a, b, t)
+        added = det.update(a, b, t)
         if expected:
             assert det.status == DEAD and det.reason == BAD_VIOLATING
             break
-        disc_update(shadow, a, b)
+        res = disc_update(shadow, a, b)
         assert shadow.edges == det.disc.edges
+        assert added == (None if isinstance(res, str) else res)
 
 
 @given(edge_seqs, st.integers(1, 7), st.integers(1, 5), st.integers(0, 12))

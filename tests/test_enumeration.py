@@ -145,3 +145,30 @@ def test_agreement_at_half_phase_probability():
         mc = montecarlo_outcomes(two_comp, root, k, None, 0.5, 40_000, 19)
         for key in set(exact.keys()) | set(mc.keys()):
             assert within_three_sigma(mc, exact, key), (root, k, key)
+
+
+@pytest.mark.parametrize("g", [
+    TRIANGLE,
+    P4,
+    Graph(4, [edge(1, 2), edge(1, 3), edge(2, 3), edge(3, 4)]),
+    Graph(5, [edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4), edge(4, 5)]),
+    Graph(3, [edge(1, 2)]),
+], ids=["triangle", "4-path", "triangle-pendant", "5-edge", "isolated-root"])
+def test_sweep_order_table_matches_enumerator(g):
+    """The sweep's exact side, read from its one table of edge orders,
+    gives every (root, k) Good probability the enumerator gives."""
+    from streamscope.verification import (_last_time_counts,
+                                          _tree_good_profiles,
+                                          exact_good_probability)
+
+    k_max = 5
+    table = _tree_good_profiles(g, k_max)
+    counts = _last_time_counts(table)
+    for tau in (Fraction(1, 10), Fraction(3, 10)):
+        tails = binomial_tails(g.m, tau)
+        for v in range(1, g.n + 1):
+            for k in range(1, k_max + 1):
+                got = exact_good_probability(counts.get((v, k), {}),
+                                             len(table), tails)
+                want = enumerate_outcomes(g, v, k, None, tau).probability(GOOD)
+                assert got == want, (v, k, tau)
