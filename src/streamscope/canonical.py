@@ -449,6 +449,7 @@ def canonical_rooted_code(n: int, edges, root: int,
         cells.setdefault(colors[v], []).append(v)
     ordered = [cells[c] for c in sorted(cells)]
     rec([], {}, [], ordered)
+    del rec  # rec's own cell holds rec: free the cycle without the collector
 
     # Recover the canonical edge list from the winning masks.
     masks = best[0]

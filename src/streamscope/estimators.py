@@ -13,13 +13,15 @@ exact first-phase collection probability.
 from __future__ import annotations
 
 import bisect
+import functools
+import gc
 import itertools
 import json
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .canonical import DiscType, materialize_disc, project_extended_disc
 from .detectors import (BAD_SMALL, GOOD, DetectorGrid, DiscDetector,
@@ -55,6 +57,23 @@ def gamma_k(k: int, tau: float) -> float:
     return gamma_disc(k - 1, tau)
 
 
+def _without_cycle_collection(fn):
+    """Run fn with CPython's cyclic collector off, then restore the state
+    the call found, also when fn raises. A run builds no reference cycle, so
+    reference counting alone frees it on time (README, design notes).
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return paused
+
+
 @dataclass(frozen=True)
 class EstimatorParams:
     """Run parameters. tau, s and k_max are chosen by the caller; the
@@ -66,9 +85,6 @@ class EstimatorParams:
     s: int
     k_max: int = 1
     seed: int = 0
-    epsilon: Optional[float] = None
-    rho: Optional[float] = None
-    delta: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -79,13 +95,8 @@ class EstimatorParams:
             raise ValueError("k_max must be >= 1")
 
     def to_dict(self) -> dict:
-        out = {"tau": self.tau, "s": self.s, "k_max": self.k_max,
-               "seed": self.seed}
-        for name in ("epsilon", "rho", "delta"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        return {"tau": self.tau, "s": self.s, "k_max": self.k_max,
+                "seed": self.seed}
 
 
 def sample_roots(n: int, s: int, seed: int) -> Tuple[Dict[int, int], str]:
@@ -205,6 +216,7 @@ class NumCCRun(RootPass):
             peak_tree_slots=self.grid.peak_slots)
 
 
+@_without_cycle_collection
 def num_cc(stream: EdgeStream, n: int, params: EstimatorParams) -> EstimateReport:
     """Estimate the number of connected components from one pass.
 
@@ -239,6 +251,7 @@ class MstReport(Report):
         }
 
 
+@_without_cycle_collection
 def mst_weight(stream: EdgeStream, n: int, W: int,
                params: EstimatorParams) -> MstReport:
     """Estimate minimum-spanning-tree weight of a connected weighted graph.
@@ -303,6 +316,7 @@ class DiscReport(Report):
         }
 
 
+@_without_cycle_collection
 def num_disc(stream: EdgeStream, n: int, k: int, d: int,
              params: EstimatorParams) -> DiscReport:
     """Estimate the frequency of extended (d+1)-bounded k-disc types.

@@ -112,6 +112,7 @@ def _max_independent_sets(vertices: List[int], edges: List[Tuple[int, int]]):
         search(i + 1, chosen, blocked)
 
     search(0, [], set())
+    del search  # a self-recursive closure is a cycle until its cell is cleared
 
     # Second pass: greedily commit the smallest labels that still extend to
     # an optimum, which yields the lexicographically smallest witness.
@@ -136,6 +137,7 @@ def _max_independent_sets(vertices: List[int], edges: List[Tuple[int, int]]):
             return best
 
         rec(tuple(rem), chosen_count, frozenset(blocked))
+        del rec
         return best
 
     witness: List[int] = []

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import statistics
@@ -6,12 +7,14 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamscope import estimators
+from streamscope import canonical, estimators
 from streamscope.canonical import (disc_code, materialize_disc,
                                    project_extended_disc)
-from streamscope.corpus import mixed_components, random_graph, weighted_path
+from streamscope.corpus import (mixed_components, random_connected_weighted,
+                               random_graph, random_small_components,
+                               weighted_path)
 from streamscope.detectors import GOOD, run_tree_detector
-from streamscope.errors import (AllEstimatesNonpositiveError,
+from streamscope.errors import (AllEstimatesNonpositiveError, BadWError,
                                 EmptyVertexSetError, RadiusMismatchError,
                                 StreamscopeError, UnweightedStreamError)
 from streamscope.estimators import (EstimatorParams, NumCCRun,
@@ -383,3 +386,49 @@ def test_num_disc_triangle_indicators_match_enumeration():
     p = float(exact)
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) <= 3 * sigma
+
+
+def _run_each_estimator():
+    """One small num_cc, mst_weight and num_disc + mis_estimate run each."""
+    g = random_graph(30, 40, 5)
+    num_cc(shuffle_stream(g, 1), g.n,
+           EstimatorParams(tau=0.4, s=20, k_max=4, seed=2))
+    w = random_connected_weighted(25, 4, 6)
+    mst_weight(shuffle_stream(w, 3), w.n, w.W,
+               EstimatorParams(tau=0.4, s=20, k_max=4, seed=4))
+    c = random_small_components(120, 6, 7)
+    oracle = make_component_mis_oracle(c, 6)
+    disc = num_disc(shuffle_stream(c, 5), c.n, 3, 2,
+                    EstimatorParams(tau=0.6, s=c.n, seed=6))
+    mis_estimate(disc, c.n, 2, 2, 300, oracle, seed=7)
+
+
+def test_estimators_restore_the_collector_state():
+    _run_each_estimator()
+    assert gc.isenabled()
+    stream = EdgeStream([edge(1, 2, 1), edge(2, 3, 5), edge(3, 4, 1)],
+                        weighted=True, W=3)
+    with pytest.raises(BadWError):
+        mst_weight(stream, 4, 3, EstimatorParams(tau=0.3, s=4, k_max=2))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        _run_each_estimator()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_estimator_runs_leave_no_cycles():
+    # The estimators pause the cyclic collector, which is only safe while a
+    # run creates no reference cycle: anything cyclic would stay allocated
+    # until some later collection. An emptied code cache makes the run
+    # compute canonical codes itself.
+    canonical._CODE_CACHE.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        _run_each_estimator()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
