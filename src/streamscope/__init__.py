@@ -10,8 +10,7 @@ agreement, replay identities and exact combinatorial oracles.
 """
 
 from .canonical import (DiscType, RootedDisc, RootedTree, bounded_disc_code,
-                        cano_disc, cano_disc_edge_order, cbfs_edge_order,
-                        cbfs_tree, disc_code, is_violating_disc,
+                        cano_disc, cbfs_tree, disc_code, is_violating_disc,
                         is_violating_tree, materialize_disc,
                         project_extended_disc)
 from .detectors import DetectorGrid, DiscDetector, TreeDetector
@@ -26,7 +25,6 @@ from .graphs import (Edge, Graph, edge, load_edge_list, serialize_edge_list,
 from .oracles import (exact_bounded_disc_freq, exact_cc_histogram,
                       exact_disc_freq, exact_mis, kruskal_mst,
                       make_component_mis_oracle, mst_identity_value)
-from .streams import (EdgeStream, PhaseThreshold, sample_lambda_online,
-                      shuffle_stream, split_seed, threshold_view)
+from .streams import EdgeStream, shuffle_stream, split_seed, threshold_view
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ projection that recovers a degree-truncated disc from its extended form.
 The violating-edge rule exists once, in `classify_edge`; trees apply it over
 each vertex's largest attached child and discs over its largest anchored
 target. Tree and disc updates, the public `is_violating_*` predicates, the
-stream detectors, the static disc construction (`cano_disc`) and the
+stream detectors, the static disc construction (`grow_cano_disc`) and the
 enumerator's replay all go through it, which makes replaying a canonical
 edge order through a detector reproduce the construction exactly.
 """
@@ -112,16 +112,17 @@ def classify_edge(dep: Dict[int, int], maxdep: int, largest: Dict[int, int],
     return NEW_VERTEX, a, b
 
 
-def tree_update(t: RootedTree, a: int, b: int) -> str:
+def tree_update(t: RootedTree, a: int, b: int) -> Union[str, int]:
     """Apply one arriving edge to a collected tree.
 
-    Returns "violating", "accepted" (a new vertex was attached), or
-    "ignored" (the edge touches no collected vertex, or joins two of them).
+    Returns "violating", "ignored" (the edge touches no collected vertex, or
+    joins two of them), or the label of the vertex the edge attached, as
+    disc_update does.
     """
     kind, u, w = classify_edge(t.dep, t.maxdep, t.children_max, a, b)
     if kind == NEW_VERTEX:
         t.attach(u, w)
-        return "accepted"
+        return w
     return "violating" if kind == VIOLATING else "ignored"
 
 
@@ -154,11 +155,6 @@ def cbfs_tree(g: Graph, v: int, k: int) -> RootedTree:
                 return t
             queue.append(w)
     return t
-
-
-def cbfs_edge_order(t: RootedTree) -> List[Tuple[int, int]]:
-    """Edge insertion order recorded while the tree was built."""
-    return list(t.edge_order)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +263,17 @@ def is_violating_disc(f: RootedDisc, e: Edge) -> bool:
         == VIOLATING
 
 
-def _grow_cano_disc(g: Graph, v: int, k: int, d: int):
+def grow_cano_disc(g: Graph, v: int, k: int,
+                   d: int) -> Tuple[RootedDisc, List[Tuple[int, int]]]:
+    """Canonical extended (d+1)-bounded k-disc of v, with the order in which
+    its edges were inserted.
+
+    BFS over collected vertices, each processed once; a popped vertex scans
+    only its first min(deg, d+1) neighbors in ascending label order, and each
+    scanned edge goes through exactly the stream-collection rule above.
+    Depth stability is checked after every insertion (InvariantError): an
+    accepted edge never changes the distance of an already-collected vertex.
+    """
     if k < 0:
         raise InvalidKError(f"k must be >= 0, got {k}")
     if d < 1:
@@ -300,20 +306,9 @@ def _grow_cano_disc(g: Graph, v: int, k: int, d: int):
 
 
 def cano_disc(g: Graph, v: int, k: int, d: int) -> RootedDisc:
-    """Canonical extended (d+1)-bounded k-disc of v.
-
-    BFS over collected vertices, each processed once; a popped vertex scans
-    only its first min(deg, d+1) neighbors in ascending label order, and each
-    scanned edge goes through exactly the stream-collection rule above.
-    Depth stability is checked after every insertion (InvariantError): an
-    accepted edge never changes the distance of an already-collected vertex.
-    """
-    return _grow_cano_disc(g, v, k, d)[0]
-
-
-def cano_disc_edge_order(g: Graph, v: int, k: int, d: int) -> List[Tuple[int, int]]:
-    """Insertion order of the canonical extended disc's edges."""
-    return _grow_cano_disc(g, v, k, d)[1]
+    """Canonical extended (d+1)-bounded k-disc of v (grow_cano_disc without
+    the insertion order)."""
+    return grow_cano_disc(g, v, k, d)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,12 @@ def _generate(spec: str) -> Graph:
         return padded_triangles(int(arg) if arg else 1000)
     if name == "random":
         fields = [int(x) for x in arg.split(",")]
-        n, m = fields[0], fields[1]
-        seed = fields[2] if len(fields) > 2 else 0
-        return random_graph(n, m, seed)
+        if len(fields) == 2:
+            fields.append(0)
+        if len(fields) != 3:
+            raise ConfigError(f"generator spec random:{arg} needs 2 or 3 "
+                              f"integer fields: random:n,m[,seed]")
+        return random_graph(*fields)
     raise KeyError(f"unknown generator {name!r}")
 
 

@@ -53,19 +53,17 @@ class TreeDetector:
         self.t_seen = t
         if self.status != ACTIVE:
             return None
-        tree = self.tree
-        res = canonical.tree_update(tree, a, b)
-        if res == "violating":
-            self.status = DEAD
-            self.reason = BAD_VIOLATING
-            return None
-        if res == "accepted":
+        res = canonical.tree_update(self.tree, a, b)
+        if isinstance(res, int):
             self.t_last = t
-            if tree.size > self.k:
+            if self.tree.size > self.k:
                 self.status = DEAD
                 self.reason = BAD_LARGE
                 return None
-            return tree.edge_order[-1][1]
+            return res
+        if res == "violating":
+            self.status = DEAD
+            self.reason = BAD_VIOLATING
         return None
 
     def finalize(self, lam: int) -> str:
@@ -206,8 +204,12 @@ class DetectorGrid:
 
 
 def _replay(det, edges: Iterable[Tuple[int, int]], lam: int):
+    """Feed an edge sequence to one detector and finalize it at lam. A dead
+    detector is fed nothing more: Bad is absorbing."""
     for t, (a, b) in enumerate(edges, start=1):
         det.update(a, b, t)
+        if det.status != ACTIVE:
+            break
     return det.finalize(lam), det
 
 

@@ -2,8 +2,8 @@
 Monte-Carlo counterparts.
 
 The enumerator walks every permutation of the edge set and every phase
-threshold value weighted by its binomial point mass, replaying the detector
-exactly; probabilities are accumulated as rationals, so derived values are
+threshold value weighted by its binomial point mass, replaying the real
+detector; probabilities are accumulated as rationals, so derived values are
 exact for the given (binary) tau. The threshold is treated as independent of
 the permutation, which matches generating the order by iid priorities.
 """
@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .canonical import DiscType, RootedTree, tree_update
-from .detectors import (BAD_LARGE, BAD_LATE, BAD_SMALL, BAD_VIOLATING, GOOD,
-                        DiscDetector, TreeDetector)
+from .detectors import BAD_LATE, GOOD, DiscDetector, TreeDetector, _replay
 from .errors import InvariantError, TooManyEdgesError
 from .graphs import Graph
 from .streams import _count_heads, _fisher_yates, split_seed
@@ -92,30 +91,21 @@ def tree_replay_profile(order, root: int) -> Tuple[List[int], Optional[int]]:
     accepts: List[int] = []
     for t, (a, b) in enumerate(order, 1):
         res = tree_update(tree, a, b)
-        if res == "accepted":
+        if isinstance(res, int):
             accepts.append(t)
         elif res == "violating":
             return accepts, t
     return accepts, None
 
 
-def profile_outcome(accepts: List[int], t_violate: Optional[int],
-                    k: int) -> Tuple[str, int]:
-    """(category, t_last) for one k; category "pending" means the finalize
-    outcome still depends on the threshold via t_last."""
-    # Accept times always precede any recorded violation, so overgrowth at
-    # the k-th accept decides first.
-    if len(accepts) >= k:
-        return BAD_LARGE, 0
-    if t_violate is not None:
-        return BAD_VIOLATING, 0
-    if len(accepts) + 1 < k:
-        return BAD_SMALL, 0
-    return "pending", accepts[-1] if accepts else 0
-
-
 def _edge_pairs(g: Graph) -> List[Tuple[int, int]]:
     return [(e.u, e.v) for e in g.edges]
+
+
+def _detector(root: int, k: int, d: Optional[int]):
+    """The tree detector for d=None, otherwise the disc detector with budget
+    d."""
+    return TreeDetector(root, k) if d is None else DiscDetector(root, k, d)
 
 
 def enumerate_outcomes(g: Graph, root: int, k: int, d: Optional[int],
@@ -123,12 +113,16 @@ def enumerate_outcomes(g: Graph, root: int, k: int, d: Optional[int],
     """Exact outcome distribution over (uniform permutation, binomial
     threshold) for one detector. d=None runs the tree detector, otherwise the
     disc detector with that budget.
+
+    Each order is replayed once through the real detector at the largest
+    threshold m. A Bad outcome there holds for every threshold; otherwise
+    the outcome is kept exactly when t_last is within the threshold and is
+    late when not.
     """
     m = g.m
     if m > ENUMERATION_EDGE_CAP:
         raise TooManyEdgesError(f"m={m} exceeds enumeration cap")
-    tau_f = _as_fraction(tau)
-    tails = binomial_tails(m, tau_f)
+    tails = binomial_tails(m, _as_fraction(tau))
     per_perm = Fraction(1, math.factorial(m))
     dist: Dict[OutcomeKey, Fraction] = {}
 
@@ -137,28 +131,13 @@ def enumerate_outcomes(g: Graph, root: int, k: int, d: Optional[int],
             dist[key] = dist.get(key, Fraction(0)) + p
 
     for order in itertools.permutations(_edge_pairs(g)):
-        if d is None:
-            accepts, t_violate = tree_replay_profile(order, root)
-            category, t_last = profile_outcome(accepts, t_violate, k)
-            if category != "pending":
-                add(category, per_perm)
-                continue
-            good_p = tails[t_last]
-            add(GOOD, per_perm * good_p)
-            add(BAD_LATE, per_perm * (1 - good_p))
-        else:
-            det = DiscDetector(root, k, d)
-            t = 0
-            for a, b in order:
-                t += 1
-                det.update(a, b, t)
-            if det.status != 0:
-                add(det.reason, per_perm)
-                continue
-            code = det.finalize(m)
-            good_p = tails[det.t_last]
-            add(code, per_perm * good_p)
-            add(BAD_LATE, per_perm * (1 - good_p))
+        key, det = _replay(_detector(root, k, d), order, m)
+        if isinstance(key, str) and key != GOOD:
+            add(key, per_perm)
+            continue
+        good_p = tails[det.t_last]
+        add(key, per_perm * good_p)
+        add(BAD_LATE, per_perm * (1 - good_p))
     return OutcomeDistribution(dist)
 
 
@@ -180,27 +159,20 @@ def montecarlo_outcomes(g: Graph, root: int, k: int, d: Optional[int], tau,
     for _ in range(trials):
         _fisher_yates(edges, perm_rng)
         lam = _count_heads(m, tau, coin_rng)
-        if d is None:
-            det = TreeDetector(root, k)
-        else:
-            det = DiscDetector(root, k, d)
-        t = 0
-        for a, b in edges:
-            t += 1
-            det.update(a, b, t)
-            if det.status != 0:
-                break
-        key = det.finalize(lam)
+        key = _replay(_detector(root, k, d), edges, lam)[0]
         counts[key] = counts.get(key, 0) + 1
     dist = {key: Fraction(c, trials) for key, c in counts.items()}
     return OutcomeDistribution(dist, trials=trials)
 
 
-def within_three_sigma(empirical: OutcomeDistribution,
-                       exact: OutcomeDistribution,
-                       key: OutcomeKey) -> bool:
-    """Binomial three-sigma agreement for one outcome's probability."""
-    p = float(exact.probability(key))
-    p_hat = float(empirical.probability(key))
-    sigma = math.sqrt(p * (1 - p) / empirical.trials)
-    return abs(p_hat - p) <= 3 * sigma if sigma > 0 else p_hat == p
+def three_sigma(p: float, trials: int) -> float:
+    """Three binomial standard deviations of a frequency over trials draws
+    whose probability is p."""
+    return 3 * math.sqrt(p * (1 - p) / trials)
+
+
+def within_three_sigma(p: float, p_hat: float, trials: int) -> bool:
+    """Does the observed frequency p_hat over trials draws agree with the
+    exact probability p? A point mass (p 0 or 1) must be matched exactly."""
+    band = three_sigma(p, trials)
+    return abs(p_hat - p) <= band if band > 0 else p_hat == p

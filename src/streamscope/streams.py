@@ -1,4 +1,4 @@
-"""Seeded random-order edge streams and the online phase-threshold counter.
+"""Seeded random-order edge streams and their phase-threshold coins.
 
 A run derives independent child generators from one master seed through
 labeled splits, so the permutation draw and the phase-threshold coin flips
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import BadWError, StreamscopeError, UnweightedStreamError
 from .graphs import Edge, Graph
@@ -53,13 +53,6 @@ class EdgeStream:
         return f"EdgeStream(m={self.m}, weighted={self.weighted})"
 
 
-class PhaseThreshold(NamedTuple):
-    """Number of first-phase positions, distributed Bi(m, tau)."""
-    lam: int
-    tau: float
-    m: int
-
-
 def _fisher_yates(items: list, rng: random.Random) -> None:
     """In-place Fisher-Yates; isolated here so every caller permutes alike."""
     for i in range(len(items) - 1, 0, -1):
@@ -87,18 +80,6 @@ def shuffle_stream(g: Graph, seed: int) -> EdgeStream:
 def given_order_stream(g: Graph) -> EdgeStream:
     """The edges in canonical storage order (debugging aid, not random)."""
     return EdgeStream(g.edges, weighted=g.weighted, W=g.W)
-
-
-def sample_lambda_online(m: int, tau: float, seed: int) -> PhaseThreshold:
-    """Draw the phase threshold by flipping one biased coin per stream edge.
-
-    The counter needs constant extra state, so the same draw can run inline
-    with a single pass; the result is distributed Bi(m, tau).
-    """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0,1), got {tau}")
-    lam = _count_heads(m, tau, random.Random(seed))
-    return PhaseThreshold(lam, tau, m)
 
 
 def threshold_view(stream: EdgeStream, t: int) -> EdgeStream:

@@ -25,13 +25,13 @@ from multiprocessing import Pool
 from typing import Dict, List, Optional, Tuple
 
 from . import canonical
-from .canonical import (bounded_disc_code, cano_disc,
-                        cano_disc_edge_order, cbfs_edge_order,
-                        cbfs_tree, project_extended_disc)
+from .canonical import (bounded_disc_code, cano_disc, cbfs_tree,
+                        grow_cano_disc, project_extended_disc)
 from .corpus import all_graphs_up_to, random_connected_weighted, random_graph
 from .detectors import (BAD_SMALL, GOOD, run_disc_detector, run_tree_detector)
 from .enumeration import (binomial_tails, enumerate_outcomes,
-                          montecarlo_outcomes, tree_replay_profile,
+                          montecarlo_outcomes, three_sigma,
+                          tree_replay_profile, within_three_sigma,
                           _as_fraction)
 from .errors import StreamscopeError
 from .graphs import Graph, connected_components, edge
@@ -88,10 +88,10 @@ def check_exact_probabilities(trials: int = 1_000_000,
                        (p4, "4-path", float(closed_p4))):
         mc = montecarlo_outcomes(g, 1, 3, None, 0.3, trials,
                                  split_seed(seed, name))
-        sigma = math.sqrt(p * (1 - p) / trials)
-        diff = abs(mc.probability_float(GOOD) - p)
-        if diff > 3 * sigma:
-            problems.append(f"{name} monte-carlo off by {diff:.2e} > 3s={3*sigma:.2e}")
+        p_hat = mc.probability_float(GOOD)
+        if not within_three_sigma(p, p_hat, trials):
+            problems.append(f"{name} monte-carlo off by {abs(p_hat - p):.2e} "
+                            f"> 3s={three_sigma(p, trials):.2e}")
     if problems:
         return CheckResult("exact-probabilities", False, "; ".join(problems))
     return CheckResult(
@@ -104,25 +104,32 @@ def check_exact_probabilities(trials: int = 1_000_000,
 # Enumerator vs Monte-Carlo sweep over all tiny graphs
 
 
-def _tree_good_profiles(g: Graph, k_max: int):
-    """Map each edge order of g to its pending cells [((root, k), t_last)].
+def _pending_cells(order, roots,
+                   k_max: int) -> List[Tuple[Tuple[int, int], int]]:
+    """The cells [((root, k), t_last)] that one edge order leaves pending.
 
     Good can only land on the k matching a root's final tree size (smaller k
     overflow, larger k starve), so an order leaves a root pending in at most
     one cell: k is that size when the root saw no violation and k <= k_max,
     and t_last is its last accept time (0 for a bare root). Every other
-    (root, k) cell is Bad whatever the threshold. One replay per (order,
-    root) serves both the exact and the Monte-Carlo side of the sweep.
+    (root, k) cell is Bad whatever the threshold.
     """
-    table: Dict[tuple, List[Tuple[Tuple[int, int], int]]] = {}
-    for order in itertools.permutations([(e.u, e.v) for e in g.edges]):
-        cells = table[order] = []
-        for v in range(1, g.n + 1):
-            accepts, t_violate = tree_replay_profile(order, v)
-            k = len(accepts) + 1
-            if t_violate is None and k <= k_max:
-                cells.append(((v, k), accepts[-1] if accepts else 0))
-    return table
+    cells = []
+    for v in roots:
+        accepts, t_violate = tree_replay_profile(order, v)
+        k = len(accepts) + 1
+        if t_violate is None and k <= k_max:
+            cells.append(((v, k), accepts[-1] if accepts else 0))
+    return cells
+
+
+def _tree_good_profiles(g: Graph, k_max: int):
+    """Map each edge order of g to its pending cells (_pending_cells). One
+    replay per (order, root) serves both the exact and the Monte-Carlo side
+    of the sweep."""
+    roots = range(1, g.n + 1)
+    return {order: _pending_cells(order, roots, k_max) for order in
+            itertools.permutations([(e.u, e.v) for e in g.edges])}
 
 
 def _last_time_counts(table) -> Dict[Tuple[int, int], Counter]:
@@ -185,9 +192,7 @@ def _sweep_cell_violations(g: Graph, runs, trials: int,
                 p = float(exact_good_probability(
                     counts.get((v, k), Counter()), len(table), tails))
                 p_hat = good[(v, k)] / trials
-                sigma = math.sqrt(p * (1 - p) / trials)
-                ok = abs(p_hat - p) <= 3 * sigma if sigma > 0 else p_hat == p
-                if not ok:
+                if not within_three_sigma(p, p_hat, trials):
                     violations += 1
                     if len(messages) < 5:
                         messages.append(f"m={g.m} root={v} k={k} tau={tau}: "
@@ -214,7 +219,7 @@ def check_enumerator_montecarlo(trials: int = 100_000, k_max: int = 5,
         tasks.append(([(e.u, e.v) for e in g.edges], g.n, runs, trials,
                       k_max))
     if jobs > 1:
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, len(tasks))) as pool:
             per_graph = pool.map(_sweep_worker, tasks)
     else:
         per_graph = [_sweep_worker(t) for t in tasks]
@@ -248,7 +253,7 @@ def check_canonical_replay(n_graphs: int = 500, seed: int = 31,
             for k in range(1, tree_k + 1):
                 tree_cases += 1
                 ct = cbfs_tree(g, v, k)
-                order = cbfs_edge_order(ct)
+                order = ct.edge_order
                 out, det = run_tree_detector(order, v, k, len(order))
                 same = (det.tree.dep == ct.dep
                         and det.tree.edge_order == ct.edge_order)
@@ -260,8 +265,7 @@ def check_canonical_replay(n_graphs: int = 500, seed: int = 31,
             for k in range(0, disc_k + 1):
                 for d in range(1, disc_d + 1):
                     disc_cases += 1
-                    cd = cano_disc(g, v, k, d)
-                    order = cano_disc_edge_order(g, v, k, d)
+                    cd, order = grow_cano_disc(g, v, k, d)
                     out, det = run_disc_detector(order, v, k, d, len(order))
                     if (isinstance(out, str) or det.disc.edges != cd.edges
                             or det.disc.dep != cd.dep):

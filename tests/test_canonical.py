@@ -4,11 +4,10 @@ import random
 import pytest
 
 from streamscope.canonical import (DiscType, RootedDisc, RootedTree,
-                                   bounded_disc_code, cano_disc,
-                                   cano_disc_edge_order, cbfs_edge_order,
-                                   cbfs_tree, disc_code, is_violating_disc,
-                                   is_violating_tree, materialize_disc,
-                                   project_extended_disc)
+                                   bounded_disc_code, cano_disc, cbfs_tree,
+                                   disc_code, grow_cano_disc,
+                                   is_violating_disc, is_violating_tree,
+                                   materialize_disc, project_extended_disc)
 from streamscope.errors import (DiscTooLargeError, EdgeAlreadyInTreeError,
                                 InvalidKError, RadiusMismatchError)
 from streamscope.graphs import Graph, edge
@@ -31,9 +30,9 @@ def test_cbfs_tree_examples():
 
 
 def test_cbfs_edge_order_examples():
-    assert cbfs_edge_order(cbfs_tree(TRIANGLE, 1, 3)) == [(1, 2), (1, 3)]
-    assert cbfs_edge_order(cbfs_tree(P4, 1, 3)) == [(1, 2), (2, 3)]
-    assert cbfs_edge_order(cbfs_tree(P4, 1, 1)) == []
+    assert cbfs_tree(TRIANGLE, 1, 3).edge_order == [(1, 2), (1, 3)]
+    assert cbfs_tree(P4, 1, 3).edge_order == [(1, 2), (2, 3)]
+    assert cbfs_tree(P4, 1, 1).edge_order == []
 
 
 def test_cbfs_rejects_bad_k():
@@ -208,11 +207,17 @@ def test_projection_radius_mismatch():
 
 
 def test_cano_disc_edge_order_matches_disc():
+    # One growth yields the disc and its insertion order: every disc edge
+    # exactly once, and the same disc cano_disc builds.
     for g in (TRIANGLE, P4, STAR5):
         for v in range(1, g.n + 1):
-            f = cano_disc(g, v, 2, 2)
-            order = cano_disc_edge_order(g, v, 2, 2)
+            f, order = grow_cano_disc(g, v, 2, 2)
+            assert len(order) == len(f.edges)
             assert {tuple(sorted(e)) for e in order} == f.edges
+            ref = cano_disc(g, v, 2, 2)
+            assert (ref.edges, ref.dep) == (f.edges, f.dep)
+    assert grow_cano_disc(TRIANGLE, 1, 1, 2)[1] == [(1, 2), (1, 3), (2, 3)]
+    assert grow_cano_disc(TRIANGLE, 1, 0, 2)[1] == []
 
 
 def _relabel_disc(f, mapping):

@@ -263,6 +263,29 @@ def test_gen_round_trip(tmp_path, capsys):
     assert g.n == 200 and g.weighted
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--preset", "random:5"],
+    ["gen", "--preset", "random:5,3,1,9"],
+    ["run-cc", "--gen", "random:5", "--tau", "0.2", "--samples", "3",
+     "--kmax", "2"],
+    ["run-cc", "--gen", "random:5,3,1,9", "--tau", "0.2", "--samples", "3",
+     "--kmax", "2"],
+])
+def test_random_spec_needs_two_or_three_fields(capsys, argv):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: generator spec random:")
+    assert err.count("\n") == 1
+
+
+def test_random_spec_seed_defaults_to_zero(capsys):
+    assert main(["gen", "--preset", "random:6,4"]) == 0
+    two = capsys.readouterr().out
+    assert main(["gen", "--preset", "random:6,4,0"]) == 0
+    assert capsys.readouterr().out == two and two.startswith("n=6\n")
+
+
 def test_verify_only_single_check(capsys):
     rc = main(["verify", "--only", "false-positive-ratio"])
     out = capsys.readouterr().out
@@ -327,6 +350,55 @@ def test_sweep_jobs_deterministic():
     a = check_enumerator_montecarlo(trials=2000, max_n=4, max_m=4, jobs=1)
     b = check_enumerator_montecarlo(trials=2000, max_n=4, max_m=4, jobs=2)
     assert a.details == b.details and a.passed == b.passed
+
+
+def test_sweep_pool_is_no_larger_than_its_tasks(monkeypatch):
+    # A stand-in Pool that records its size and maps serially, so no worker
+    # process starts whatever --jobs asks for.
+    from streamscope import verification
+    from streamscope.corpus import all_graphs_up_to
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(verification, "Pool", SerialPool)
+    kw = dict(trials=500, max_n=3, max_m=3)
+    serial = verification.check_enumerator_montecarlo(jobs=1, **kw)
+    assert sizes == []
+    for jobs in (2, 1_000_000):
+        got = verification.check_enumerator_montecarlo(jobs=jobs, **kw)
+        assert got.details == serial.details
+    assert sizes == [2, len(all_graphs_up_to(3, 3))]
+
+
+def test_canonical_replay_grows_each_disc_once(monkeypatch):
+    from streamscope import verification
+
+    calls = []
+    grow = verification.grow_cano_disc
+
+    def counting_grow(*args):
+        calls.append(args)
+        return grow(*args)
+
+    monkeypatch.setattr(verification, "grow_cano_disc", counting_grow)
+    result = verification.check_canonical_replay(n_graphs=4)
+    assert result.passed
+    disc_cases = int(result.details.split(" + ")[1].split()[0])
+    assert len(calls) == disc_cases > 0
+    assert len(set(calls)) == len(calls)
 
 
 def test_run_mst_path_corpus_report(tmp_path):

@@ -10,7 +10,6 @@ from streamscope.detectors import (ACTIVE, BAD_LARGE, BAD_LATE, BAD_SMALL,
                                    BAD_VIOLATING, DEAD, GOOD, DetectorGrid,
                                    DiscDetector, TreeDetector,
                                    run_disc_detector, run_tree_detector)
-from streamscope.enumeration import profile_outcome, tree_replay_profile
 from streamscope.errors import InvalidKError, OutOfOrderTimeStepError
 from streamscope.graphs import Graph, edge
 
@@ -164,17 +163,20 @@ def test_detector_matches_standalone_predicate(seq, root, k):
             shadow.attach(*det.tree.edge_order[-1])
 
 
-@given(edge_seqs, st.integers(1, 7), st.integers(1, 5), st.integers(0, 12))
+@given(edge_seqs, st.integers(1, 7), st.integers(0, 12))
 @settings(max_examples=300, deadline=None)
-def test_profile_reduction_matches_detector(seq, root, k, lam):
-    """The shared-replay profile used by the verification sweep gives exactly
-    the real detector's finalize outcome for every k."""
-    out, _ = run_tree_detector(seq, root, k, lam)
-    accepts, t_violate = tree_replay_profile(seq, root)
-    category, t_last = profile_outcome(accepts, t_violate, k)
-    if category == "pending":
-        category = GOOD if t_last <= lam else BAD_LATE
-    assert category == out
+def test_profile_reduction_matches_detector(seq, root, lam):
+    """The verification sweep's reduction: for every k <= 5 the real
+    detector is Good exactly when the sweep books (root, k) pending with
+    t_last within the threshold."""
+    from streamscope.verification import _pending_cells
+
+    booked = dict(_pending_cells(seq, [root], 5))
+    assert len(booked) <= 1
+    for k in range(1, 6):
+        out, _ = run_tree_detector(seq, root, k, lam)
+        t_last = booked.get((root, k))
+        assert (out == GOOD) == (t_last is not None and t_last <= lam), k
 
 
 @pytest.mark.parametrize("n,pairs", [

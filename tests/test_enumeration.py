@@ -14,6 +14,18 @@ TRIANGLE = Graph(3, [edge(1, 2), edge(1, 3), edge(2, 3)])
 P4 = Graph(4, [edge(1, 2), edge(2, 3), edge(3, 4)])
 
 
+def _agree(mc, exact, key):
+    return within_three_sigma(exact.probability_float(key),
+                              mc.probability_float(key), mc.trials)
+
+
+def test_within_three_sigma():
+    assert within_three_sigma(0.5, 0.5 + 0.014, 10_000)
+    assert not within_three_sigma(0.5, 0.5 + 0.016, 10_000)
+    assert within_three_sigma(0.0, 0.0, 10) and within_three_sigma(1.0, 1.0, 10)
+    assert not within_three_sigma(0.0, 0.1, 10)
+
+
 def test_triangle_closed_form():
     tau = Fraction(3, 10)
     dist = enumerate_outcomes(TRIANGLE, 1, 3, None, tau)
@@ -71,7 +83,7 @@ def test_montecarlo_agreement_small():
     exact = enumerate_outcomes(TRIANGLE, 1, 3, None, 0.3)
     mc = montecarlo_outcomes(TRIANGLE, 1, 3, None, 0.3, 50_000, 11)
     for key in set(exact.keys()) | set(mc.keys()):
-        assert within_three_sigma(mc, exact, key), key
+        assert _agree(mc, exact, key), key
 
 
 def test_montecarlo_point_mass():
@@ -102,7 +114,7 @@ def test_disc_enumeration_monte_carlo_agreement():
     exact = enumerate_outcomes(TRIANGLE, 1, 1, 2, tau)
     mc = montecarlo_outcomes(TRIANGLE, 1, 1, 2, tau, 40_000, 3)
     for key in set(exact.keys()) | set(mc.keys()):
-        assert within_three_sigma(mc, exact, key), key
+        assert _agree(mc, exact, key), key
 
 
 def test_disc_enumeration_k0():
@@ -124,7 +136,7 @@ def test_agreement_on_seven_and_eight_edge_graphs():
         exact = enumerate_outcomes(g, root, k, None, 0.3)
         mc = montecarlo_outcomes(g, root, k, None, 0.3, 40_000, 13)
         for key in set(exact.keys()) | set(mc.keys()):
-            assert within_three_sigma(mc, exact, key), (root, k, key)
+            assert _agree(mc, exact, key), (root, k, key)
 
 
 def test_disc_agreement_on_seven_edge_graph():
@@ -133,7 +145,7 @@ def test_disc_agreement_on_seven_edge_graph():
     exact = enumerate_outcomes(g, 5, 2, 2, 0.25)
     mc = montecarlo_outcomes(g, 5, 2, 2, 0.25, 40_000, 17)
     for key in set(exact.keys()) | set(mc.keys()):
-        assert within_three_sigma(mc, exact, key), key
+        assert _agree(mc, exact, key), key
 
 
 def test_agreement_at_half_phase_probability():
@@ -144,7 +156,7 @@ def test_agreement_at_half_phase_probability():
         exact = enumerate_outcomes(two_comp, root, k, None, 0.5)
         mc = montecarlo_outcomes(two_comp, root, k, None, 0.5, 40_000, 19)
         for key in set(exact.keys()) | set(mc.keys()):
-            assert within_three_sigma(mc, exact, key), (root, k, key)
+            assert _agree(mc, exact, key), (root, k, key)
 
 
 @pytest.mark.parametrize("g", [

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from streamscope.errors import (BadWError, StreamscopeError,
                                UnweightedStreamError)
 from streamscope.graphs import Graph, edge
-from streamscope.streams import (CountingStream, sample_lambda_online,
-                                 shuffle_stream, split_seed, threshold_view)
+from streamscope.detectors import TreeDetector
+from streamscope.estimators import EstimatorParams, RootPass
+from streamscope.streams import (CountingStream, _count_heads, shuffle_stream,
+                                 split_seed, threshold_view)
 
 TRIANGLE = Graph(3, [edge(1, 2), edge(1, 3), edge(2, 3)])
 
@@ -43,12 +46,12 @@ def test_shuffle_uniform_over_orders():
 
 
 def test_lambda_zero_edges():
-    assert sample_lambda_online(0, 0.3, 5).lam == 0
+    assert _count_heads(0, 0.3, random.Random(5)) == 0
 
 
 def test_lambda_two_flip_histogram():
     # tau = 1/2, m = 2: outcomes 0/1/2 with mass 1/4, 1/2, 1/4.
-    counts = Counter(sample_lambda_online(2, 0.5, seed).lam
+    counts = Counter(_count_heads(2, 0.5, random.Random(seed))
                      for seed in range(40_000))
     for value, p in ((0, 0.25), (1, 0.5), (2, 0.25)):
         sigma = math.sqrt(40_000 * p * (1 - p))
@@ -59,15 +62,27 @@ def test_lambda_mean_small_scale():
     # Scaled instance of the binomial-moment check: the full-size version
     # (m = 10^6 over 1000 seeds) follows the same formula.
     m, tau, seeds = 10_000, 0.1, 300
-    mean = sum(sample_lambda_online(m, tau, s).lam for s in range(seeds)) / seeds
+    mean = sum(_count_heads(m, tau, random.Random(s)) for s in range(seeds)) / seeds
     tol = 3 * math.sqrt(m * tau * (1 - tau) / seeds)
     assert abs(mean - m * tau) <= tol
 
 
 def test_lambda_single_large_draw():
     m, tau = 1_000_000, 0.1
-    lam = sample_lambda_online(m, tau, 123).lam
+    lam = _count_heads(m, tau, random.Random(123))
     assert abs(lam - m * tau) <= 3 * math.sqrt(m * tau * (1 - tau))
+
+
+def test_root_pass_heads_is_the_coin_count():
+    # The estimators' online Λ is the routine the Λ-law tests above and the
+    # Monte-Carlo twins draw from, on the pass's "coins" child seed.
+    g = Graph(30, [edge(u, u + 1) for u in range(1, 30)])
+    for seed, tau in ((3, 0.3), (8, 0.5)):
+        params = EstimatorParams(tau=tau, s=10, k_max=3, seed=seed)
+        rp = RootPass(g.n, params, lambda v: TreeDetector(v, 3))
+        rp.read(shuffle_stream(g, seed))
+        want = _count_heads(g.m, tau, random.Random(split_seed(seed, "coins")))
+        assert rp.t == g.m and rp.heads == want
 
 
 def test_lambda_independent_of_permutation_stream():
