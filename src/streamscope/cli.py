@@ -17,10 +17,11 @@ from .corpus import (cc_benchmark, disc_benchmark, mixed_components,
                      padded_triangles, random_graph, random_small_components,
                      weighted_path)
 from .errors import (BadWeightError, BadWError, ComponentTooLargeError,
-                     StreamscopeError)
+                     MissingVertexCountError, StreamscopeError)
 from .estimators import (EstimatorParams, cc_param_scales, disc_param_scales,
                          mis_estimate, mst_weight, num_cc, num_disc)
-from .graphs import Edge, EdgeLines, Graph, serialize_edge_list
+from .graphs import (Edge, EdgeLines, Graph, load_edge_list,
+                     serialize_edge_list)
 from .oracles import (exact_cc_histogram, exact_disc_freq, exact_mis,
                       kruskal_mst, make_component_mis_oracle)
 from .streams import (EdgeStream, given_order_stream, shuffle_stream,
@@ -75,14 +76,13 @@ def _load_graph(args) -> Graph:
                               f"graph's n={g.n}")
         return g
     with open(args.input, "rb") as fh:
-        lines = EdgeLines(fh.read().decode("utf-8").splitlines(), args.n)
-    edges = list(lines)
-    if lines.n is None:
-        raise ConfigError(
-            "--n is required when the edge list carries no n= header")
-    return Graph(lines.n, edges,
-                 weighted=bool(edges) and edges[0].w is not None,
-                 W=getattr(args, "W", None))
+        text = fh.read()
+    try:
+        return load_edge_list(text, args.n, getattr(args, "W", None),
+                              infer_n=False)
+    except MissingVertexCountError:
+        raise ConfigError("--n is required when the edge list carries no "
+                          "n= header") from None
 
 
 def _generate(spec: str) -> Graph:
@@ -169,7 +169,17 @@ def cmd_run_mst(args) -> int:
     return EXIT_OK
 
 
+def _check_disc_shape(args) -> None:
+    """Refuse a disc radius or degree bound no run can use, before the graph
+    is loaded."""
+    if args.k < 0:
+        raise ConfigError(f"--k must be >= 0, got {args.k}")
+    if args.d < 1:
+        raise ConfigError(f"--d must be >= 1, got {args.d}")
+
+
 def cmd_run_disc(args) -> int:
+    _check_disc_shape(args)
     g = _load_graph(args)
     if args.exact:
         hist = exact_disc_freq(g, args.k, args.d)
@@ -183,6 +193,7 @@ def cmd_run_disc(args) -> int:
 
 
 def cmd_run_mis(args) -> int:
+    _check_disc_shape(args)
     g = _load_graph(args)
     if args.exact:
         size, witness = exact_mis(g, args.mis_component_cap)

@@ -144,7 +144,9 @@ class DetectorGrid:
 
     def __init__(self, detectors):
         self.detectors: List = list(detectors)
-        self._index: Dict[int, Set[int]] = {}
+        # vertex -> ids of the live detectors whose structure contains it;
+        # read-only outside the grid
+        self.index: Dict[int, Set[int]] = {}
         self._members: List[List[int]] = []
         self.peak_slots = 0
         self._slots = 0
@@ -153,7 +155,7 @@ class DetectorGrid:
             members = list(det.member_vertices())
             self._members.append(members)
             for v in members:
-                self._index.setdefault(v, set()).add(i)
+                self.index.setdefault(v, set()).add(i)
             self._slots += len(members)
         self.peak_slots = self._slots
 
@@ -162,7 +164,7 @@ class DetectorGrid:
             raise OutOfOrderTimeStepError(
                 f"time step {t} after {self.last_t}")
         self.last_t = t
-        index = self._index
+        index = self.index
         hit = index.get(a)
         other = index.get(b)
         if hit is None:

@@ -23,6 +23,10 @@ class LabelOutOfRangeError(StreamscopeError):
     pass
 
 
+class MissingVertexCountError(StreamscopeError):
+    pass
+
+
 class BadWeightError(StreamscopeError):
     pass
 

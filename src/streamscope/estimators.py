@@ -1,20 +1,17 @@
 """End-to-end estimators over a single random-order pass.
 
 All estimators follow one shape, written once as RootPass: sample roots,
-run one detector per root over one shared pass through the stream, flip one
-phase coin per edge, and only at the end compare each detector's
-last-accept time against the realized phase threshold. A tree detector
-capped at k_max decides every target size k <= k_max, and a disc detector's
-collected structure names its type, so no root needs more than one
-detector. Estimates then rescale the surviving indicator counts by the
+run one detector per root over one shared pass through the stream, and only
+at the end draw the phase threshold (one coin per edge read) and compare
+each detector's last-accept time against it. A tree detector capped at
+k_max decides every target size k <= k_max, and a disc detector's collected
+structure names its type, so no root needs more than one detector. Estimates then rescale the surviving indicator counts by the
 exact first-phase collection probability.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
-import gc
 import itertools
 import json
 import math
@@ -29,7 +26,8 @@ from .detectors import (BAD_SMALL, GOOD, DetectorGrid, DiscDetector,
 from .errors import (AllEstimatesNonpositiveError, BadWError,
                      EmptyVertexSetError, RadiusMismatchError,
                      StreamscopeError, UnweightedStreamError)
-from .streams import CountingStream, EdgeStream, split_seed
+from .graphs import _without_cycle_collection
+from .streams import CountingStream, EdgeStream, _count_heads, split_seed
 
 WITHOUT_REPLACEMENT = "without_replacement"
 WITH_REPLACEMENT = "with_replacement"
@@ -55,23 +53,6 @@ def gamma_k(k: int, tau: float) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     return gamma_disc(k - 1, tau)
-
-
-def _without_cycle_collection(fn):
-    """Run fn with CPython's cyclic collector off, then restore the state
-    the call found, also when fn raises. A run builds no reference cycle, so
-    reference counting alone frees it on time (README, design notes).
-    """
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if was_enabled:
-                gc.enable()
-    return paused
 
 
 @dataclass(frozen=True)
@@ -150,10 +131,12 @@ class EstimateReport(Report):
 class RootPass:
     """One random-order pass seen by a sample of roots.
 
-    Samples the roots, builds one detector per root with make_detector, and
-    flips one phase coin per fed edge. Feed every qualifying edge exactly
-    once, in stream order; the pass keeps its own clock and coin stream, so
-    several passes can share one physical read of differently filtered views.
+    Samples the roots and builds one detector per root with make_detector.
+    Feed every qualifying edge exactly once, in stream order; the pass keeps
+    its own clock, so several passes can share one physical read of
+    differently filtered views. Its phase threshold Λ (`heads`) is one
+    tau-coin per fed edge, drawn after the pass from the pass's own coin
+    generator: only the number of edges fed decides it.
     """
 
     def __init__(self, n: int, params: EstimatorParams,
@@ -162,15 +145,11 @@ class RootPass:
         self.params = params
         self.roots, self.sample_mode = sample_roots(
             n, params.s, split_seed(params.seed, "sample"))
-        self._coin = random.Random(split_seed(params.seed, "coins")).random
-        self.heads = 0
         self.t = 0
         self.grid = DetectorGrid(make_detector(v) for v in sorted(self.roots))
 
     def feed(self, u: int, v: int) -> None:
         self.t += 1
-        if self._coin() < self.params.tau:
-            self.heads += 1
         self.grid.feed(u, v, self.t)
 
     def read(self, stream: EdgeStream) -> None:
@@ -178,9 +157,16 @@ class RootPass:
         for e, _t in CountingStream(stream):
             self.feed(e.u, e.v)
 
-    def outcomes(self):
-        """(detector, outcome) pairs at the phase threshold Λ = heads."""
-        return zip(self.grid.detectors, self.grid.finalize(self.heads))
+    @property
+    def heads(self) -> int:
+        """Λ: heads among the t coins of the edges fed so far."""
+        params = self.params
+        return _count_heads(self.t, params.tau, random.Random(
+            split_seed(params.seed, "coins")))
+
+    def outcomes(self, lam: int):
+        """(detector, outcome) pairs at the phase threshold lam."""
+        return zip(self.grid.detectors, self.grid.finalize(lam))
 
 
 class NumCCRun(RootPass):
@@ -198,7 +184,7 @@ class NumCCRun(RootPass):
         # it accepts its k-th edge, so a root is Good for k = its final tree
         # size exactly when the capped detector survives (Good or small) and
         # its last accept is in phase; every other k is Bad for that root.
-        for det, outcome in self.outcomes():
+        for det, outcome in self.outcomes(lam):
             if outcome in (GOOD, BAD_SMALL) and det.t_last <= lam:
                 indicators[det.tree.size] += self.roots[det.root]
         per_k = {}
@@ -258,9 +244,10 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
 
     One component-count instance per weight threshold t < W runs over the
     filtered view of edges with weight <= t; all instances share the single
-    physical pass, each flipping its own phase coin only for edges that
-    qualify for it. The estimate is n - W plus the threshold estimates.
-    Connectivity of the input is the caller's responsibility.
+    physical pass, each counting only the edges that qualify for it, so each
+    draws its phase threshold over its own view. The estimate is n - W plus
+    the threshold estimates. Connectivity of the input is the caller's
+    responsibility.
     """
     if not stream.weighted:
         raise UnweightedStreamError("mst_weight needs a weighted stream")
@@ -268,16 +255,22 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
         raise BadWError(f"W must be >= 1, got {W}")
     if n <= 0:
         raise EmptyVertexSetError("graph has no vertices")
-    instances = {t: NumCCRun(n, replace(
+    runs = [NumCCRun(n, replace(
         params, seed=split_seed(params.seed, f"threshold-{t}")))
-        for t in range(1, W)}
+        for t in range(1, W)]
     counting = CountingStream(stream)
-    for e, _t in counting:
-        if e.w is None or not 1 <= e.w <= W:
-            raise BadWError(f"edge weight {e.w} outside [1..{W}]")
-        for t in range(e.w, W):
-            instances[t].feed(e.u, e.v)
-    reports = {t: run.finalize() for t, run in instances.items()}
+    for (u, v, w), _t in counting:
+        if w is None or not 1 <= w <= W:
+            raise BadWError(f"edge weight {w} outside [1..{W}]")
+        # thresholds t >= w see the edge; each counts it on its own clock
+        # but feeds its grid only when the grid watches an endpoint, as
+        # DetectorGrid.feed would otherwise return without an update
+        for run in runs[w - 1:]:
+            run.t += 1
+            watched = run.grid.index
+            if u in watched or v in watched:
+                run.grid.feed(u, v, run.t)
+    reports = {t: run.finalize() for t, run in enumerate(runs, start=1)}
     per_threshold = {t: rep.total for t, rep in reports.items()}
     estimate = n - W + sum(per_threshold.values())
     return MstReport(n=n, W=W, m_observed=counting.reads, params=params,
@@ -329,7 +322,7 @@ def num_disc(stream: EdgeStream, n: int, k: int, d: int,
     run.read(stream)
     indicators: Dict[DiscType, int] = {}
     witnesses: Dict[DiscType, List[int]] = {}
-    for det, outcome in run.outcomes():
+    for det, outcome in run.outcomes(run.heads):
         if isinstance(outcome, DiscType):
             indicators[outcome] = indicators.get(outcome, 0) \
                 + run.roots[det.root]

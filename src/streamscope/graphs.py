@@ -7,15 +7,36 @@ construction and safe to share.
 
 from __future__ import annotations
 
+import functools
+import gc
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     BadWeightError,
     DuplicateEdgeError,
     LabelOutOfRangeError,
+    MissingVertexCountError,
     ParseError,
     SelfLoopError,
 )
+
+
+def _without_cycle_collection(fn):
+    """Run fn with CPython's cyclic collector off, then restore the state
+    the call found, also when fn raises. The loads and runs that wear it
+    build no reference cycle, so reference counting alone frees them on time
+    (README, design notes).
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return paused
 
 
 class Edge(NamedTuple):
@@ -49,7 +70,10 @@ class Graph:
         seen = set()
         normalized = []
         for e in edges:
-            e = edge(e.u, e.v, e.w)
+            # EdgeLines already yields normalized Edges; anything else,
+            # including a self loop, goes through edge()'s checks
+            if type(e) is not Edge or e.u >= e.v:
+                e = edge(e.u, e.v, e.w)
             if (e.u, e.v) in seen:
                 raise DuplicateEdgeError(f"duplicate edge ({e.u}, {e.v})")
             seen.add((e.u, e.v))
@@ -63,7 +87,8 @@ class Graph:
             elif e.w is not None:
                 raise BadWeightError(f"edge ({e.u},{e.v}) has weight on unweighted graph")
             normalized.append(e)
-        normalized.sort(key=lambda e: (e.u, e.v))
+        # (u, v) pairs are unique here, so tuple order is (u, v) order
+        normalized.sort()
         if weighted:
             max_w = max((e.w for e in normalized), default=1)
             if W is None:
@@ -82,7 +107,9 @@ class Graph:
         for e in self.edges:
             adj.setdefault(e.u, []).append(e.v)
             adj.setdefault(e.v, []).append(e.u)
-        self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        # In (u, v) order a vertex meets its smaller neighbours first, in
+        # increasing order, then its larger ones: each list is sorted.
+        self._adj = {v: tuple(nbrs) for v, nbrs in adj.items()}
 
     @property
     def m(self) -> int:
@@ -126,8 +153,11 @@ class EdgeLines:
 
     def __iter__(self) -> Iterator[Edge]:
         weighted = n_header = None
+        n = self.n
         for line_no, raw in enumerate(self.lines, start=1):
-            line = raw.split("#", 1)[0].strip()
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            line = raw.strip()
             if not line:
                 continue
             if line.startswith("n="):
@@ -139,15 +169,15 @@ class EdgeLines:
                 except ValueError:
                     raise ParseError(line_no,
                                      f"bad n= header {line!r}") from None
-                if self.n is None:
-                    self.n = n_header
+                if n is None:
+                    n = self.n = n_header
                 continue
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ParseError(line_no,
                                  f"expected 2 or 3 fields, got {len(parts)}")
             try:
-                nums = [int(p) for p in parts]
+                nums = list(map(int, parts))
             except ValueError:
                 raise ParseError(line_no,
                                  f"non-integer field in {line!r}") from None
@@ -160,20 +190,24 @@ class EdgeLines:
             u, v = nums[0], nums[1]
             if u < 1 or v < 1:
                 raise ParseError(line_no, f"labels must be >= 1 in {line!r}")
-            if self.n is not None and max(u, v) > self.n:
+            if n is not None and (u > n or v > n):
                 raise LabelOutOfRangeError(
-                    f"line {line_no}: label {max(u, v)} > n={self.n}")
+                    f"line {line_no}: label {max(u, v)} > n={n}")
             if has_w and nums[2] < 1:
                 raise BadWeightError(f"line {line_no}: weight {nums[2]} < 1")
             yield edge(u, v, nums[2] if has_w else None)
 
 
+@_without_cycle_collection
 def load_edge_list(text, n_override: Optional[int] = None,
-                   w_override: Optional[int] = None) -> Graph:
+                   w_override: Optional[int] = None,
+                   infer_n: bool = True) -> Graph:
     """Parse an edge-list document (see EdgeLines) into a validated Graph.
 
     The vertex count is n_override, else the n= header, else the maximum
-    label seen.
+    label seen; with infer_n=False a document that names no n raises
+    MissingVertexCountError once its lines have parsed. Runs with the cyclic
+    collector paused: the edges and adjacency lists it builds are acyclic.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -181,8 +215,12 @@ def load_edge_list(text, n_override: Optional[int] = None,
         text = text.decode("utf-8")
     lines = EdgeLines(text.splitlines(), n_override)
     edges = list(lines)
-    n = lines.n if lines.n is not None else max(
-        (e.v for e in edges), default=0)
+    n = lines.n
+    if n is None:
+        if not infer_n:
+            raise MissingVertexCountError(
+                "the edge list names no vertex count")
+        n = max((e.v for e in edges), default=0)
     return Graph(n, edges, weighted=bool(edges) and edges[0].w is not None,
                  W=w_override)
 

@@ -54,10 +54,13 @@ class EdgeStream:
 
 
 def _fisher_yates(items: list, rng: random.Random) -> None:
-    """In-place Fisher-Yates; isolated here so every caller permutes alike."""
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        items[i], items[j] = items[j], items[i]
+    """In-place Fisher-Yates; isolated here so every caller permutes alike.
+
+    `Random.shuffle` swaps item i with item `_randbelow(i + 1)` for i from
+    len - 1 down to 1, the draw `randrange(i + 1)` makes, so it gives the
+    same permutation as that explicit loop (pinned by tests/test_streams.py).
+    """
+    rng.shuffle(items)
 
 
 def _count_heads(m: int, tau: float, rng: random.Random) -> int:

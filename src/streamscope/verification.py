@@ -6,10 +6,11 @@ tiny graph once. A size-k collector behaves exactly like the unbounded
 replay until it accepts its k-th edge and dies of overgrowth, so the
 profile of accept times plus the first violation time determines every k
 at once; an order leaves each root pending in at most one cell. The table
-from every order to its pending cells is built once per graph: the exact
-side counts its t_last values for each tau, and every Monte-Carlo trial
-looks its drawn order up in it. Property tests cross-check these
-reductions against the real detectors and the enumerator.
+from every order to its pending cells is built once per edge list, on the
+largest vertex count the corpus gives it: the exact side counts its t_last
+values for each tau, and every Monte-Carlo trial looks its drawn order up
+in it. Property tests cross-check these reductions against the real
+detectors and the enumerator.
 """
 
 from __future__ import annotations
@@ -174,11 +175,10 @@ def montecarlo_good_counts(g: Graph, table, tau: float, trials: int,
     return good
 
 
-def _sweep_cell_violations(g: Graph, runs, trials: int,
+def _sweep_cell_violations(g: Graph, table, runs, trials: int,
                            k_max: int) -> List[Tuple[int, int, List[str]]]:
-    """(cells, violations, messages) for each (tau, seed) in runs. The
-    order table does not depend on tau, so it is built once."""
-    table = _tree_good_profiles(g, k_max)
+    """(cells, violations, messages) for each (tau, seed) in runs, from g's
+    order table (_tree_good_profiles), which does not depend on tau."""
     counts = _last_time_counts(table)
     out = []
     for tau, seed in runs:
@@ -202,9 +202,20 @@ def _sweep_cell_violations(g: Graph, runs, trials: int,
 
 
 def _sweep_worker(args):
-    edges, n, runs, trials, k_max = args
-    g = Graph(n, [edge(u, v) for u, v in edges])
-    return _sweep_cell_violations(g, runs, trials, k_max)
+    """Sweep results of the graphs that share one edge list, by increasing
+    n. The order table is built once, on the largest n: a graph on fewer
+    vertices keeps the cells of its own roots, which are exactly the cells
+    its own table would hold, so no (edge order, root) is replayed twice."""
+    edges, ns, runs_per_graph, trials, k_max = args
+    graphs = [Graph(n, [edge(u, v) for u, v in edges]) for n in ns]
+    largest = _tree_good_profiles(graphs[-1], k_max)
+    out = []
+    for g, runs in zip(graphs, runs_per_graph):
+        table = largest if g is graphs[-1] else {
+            order: [c for c in cells if c[0][0] <= g.n]
+            for order, cells in largest.items()}
+        out.append(_sweep_cell_violations(g, table, runs, trials, k_max))
+    return out
 
 
 def check_enumerator_montecarlo(trials: int = 100_000, k_max: int = 5,
@@ -212,17 +223,24 @@ def check_enumerator_montecarlo(trials: int = 100_000, k_max: int = 5,
                                 jobs: int = 1, max_n: int = 5,
                                 max_m: int = 6) -> CheckResult:
     graphs = all_graphs_up_to(max_n, max_m)
-    tasks = []
+    # graph indices by edge list; all_graphs_up_to lists graphs by
+    # increasing n, so each group's vertex counts increase too
+    groups: Dict[tuple, List[int]] = {}
     for gi, g in enumerate(graphs):
-        runs = [(tau, split_seed(seed, f"sweep-{gi}-{ti}"))
-                for ti, tau in enumerate(taus)]
-        tasks.append(([(e.u, e.v) for e in g.edges], g.n, runs, trials,
-                      k_max))
+        groups.setdefault(tuple((e.u, e.v) for e in g.edges), []).append(gi)
+    tasks = [(edges, [graphs[gi].n for gi in members],
+              [[(tau, split_seed(seed, f"sweep-{gi}-{ti}"))
+                for ti, tau in enumerate(taus)] for gi in members],
+              trials, k_max) for edges, members in groups.items()]
     if jobs > 1:
         with Pool(min(jobs, len(tasks))) as pool:
-            per_graph = pool.map(_sweep_worker, tasks)
+            per_group = pool.map(_sweep_worker, tasks)
     else:
-        per_graph = [_sweep_worker(t) for t in tasks]
+        per_group = [_sweep_worker(t) for t in tasks]
+    per_graph = [None] * len(graphs)
+    for members, outs in zip(groups.values(), per_group):
+        for gi, runs in zip(members, outs):
+            per_graph[gi] = runs
     results = [r for runs in per_graph for r in runs]
     cells = sum(r[0] for r in results)
     violations = sum(r[1] for r in results)

@@ -380,7 +380,29 @@ def test_sweep_pool_is_no_larger_than_its_tasks(monkeypatch):
     for jobs in (2, 1_000_000):
         got = verification.check_enumerator_montecarlo(jobs=jobs, **kw)
         assert got.details == serial.details
-    assert sizes == [2, len(all_graphs_up_to(3, 3))]
+    # one task per distinct edge list: graphs that differ only in isolated
+    # vertices share one order table
+    edge_lists = {g.edges for g in all_graphs_up_to(3, 3)}
+    assert sizes == [2, len(edge_lists)]
+
+
+def test_sweep_replays_each_order_and_root_once(monkeypatch):
+    # Graphs that share an edge list and differ only in isolated vertices
+    # share one order table, so no (edge order, root) is replayed twice.
+    from collections import Counter
+
+    from streamscope import verification
+
+    replays = Counter()
+    replay = verification.tree_replay_profile
+
+    def counting_replay(order, root):
+        replays[(tuple(order), root)] += 1
+        return replay(order, root)
+
+    monkeypatch.setattr(verification, "tree_replay_profile", counting_replay)
+    verification.check_enumerator_montecarlo(trials=50, max_n=4, max_m=4)
+    assert replays and max(replays.values()) == 1
 
 
 def test_canonical_replay_grows_each_disc_once(monkeypatch):
@@ -411,3 +433,24 @@ def test_run_mst_path_corpus_report(tmp_path):
     assert doc["algorithm"] == "mst-weight"
     assert set(doc["per_threshold"]) == {"1"}
     assert doc["n"] == 200 and doc["W"] == 2
+
+
+@pytest.mark.parametrize("command, k, d", [
+    ("run-mis", "-1", "1"),
+    ("run-mis", "1", "0"),
+    ("run-disc", "-1", "2"),
+    ("run-disc", "1", "0"),
+    ("run-disc", "0", "-3"),
+])
+def test_disc_shape_is_a_config_error(command, k, d, tmp_path, capsys):
+    # Refused before the graph is loaded: the missing file is never opened,
+    # which would exit 3.
+    argv = [command, "--input", str(tmp_path / "missing.el"), "--tau", "0.3",
+            "--samples", "4", "--k", k, "--d", d]
+    if command == "run-mis":
+        argv += ["--mis-samples", "10"]
+    for extra in ([], ["--exact"]):
+        rc = main(argv + extra)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: --") and err.count("\n") == 1

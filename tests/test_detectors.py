@@ -301,6 +301,6 @@ def test_grid_matches_sequential_detectors(specs, seq, lam):
             if det.status == ACTIVE:
                 for v in det.member_vertices():
                     watched.setdefault(v, set()).add(i)
-        assert grid._index == watched
+        assert grid.index == watched
         assert grid.peak_slots == peak
     assert grid.finalize(lam) == [det.finalize(lam) for det in reference]

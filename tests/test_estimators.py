@@ -361,6 +361,46 @@ def test_mst_instances_equal_num_cc_on_threshold_views():
         assert rep.threshold_reports[t].indicator_counts == direct.indicator_counts
 
 
+@st.composite
+def _weighted_graphs(draw):
+    """A random simple graph on 1..10 vertices with W in 1..6 and weights
+    drawn from 1..W, so some weights below W may go unused."""
+    n = draw(st.integers(1, 10))
+    W = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs))) if pairs else []
+    weights = draw(st.lists(st.integers(1, W), min_size=len(chosen),
+                            max_size=len(chosen)))
+    return Graph(n, [edge(u, v, w) for (u, v), w in zip(chosen, weights)],
+                 weighted=True, W=W), W
+
+
+@given(_weighted_graphs(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.1, 0.3, 0.6]), st.integers(1, 12),
+       st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_mst_threshold_reports_equal_num_cc_on_views(graph_w, seed, tau, s,
+                                                     k_max):
+    # Skipping a threshold whose grid watches neither endpoint, and drawing
+    # Λ after the pass, leave each threshold exactly num_cc on its view.
+    from streamscope.streams import threshold_view
+
+    g, W = graph_w
+    params = EstimatorParams(tau=tau, s=s, k_max=k_max, seed=seed)
+    stream = shuffle_stream(g, split_seed(seed, "permutation"))
+    rep = mst_weight(stream, g.n, W, params)
+    assert sorted(rep.threshold_reports) == list(range(1, W))
+    for t, got in rep.threshold_reports.items():
+        want = num_cc(threshold_view(stream, t), g.n, EstimatorParams(
+            tau=tau, s=s, k_max=k_max,
+            seed=split_seed(seed, f"threshold-{t}")))
+        assert got.per_k == want.per_k
+        assert got.indicator_counts == want.indicator_counts
+        assert got.m_observed == want.m_observed
+        assert got.peak_tree_slots == want.peak_tree_slots
+
+
 def test_num_disc_triangle_indicators_match_enumeration():
     # Disjoint triangles, every root sampled: the empirical per-root
     # detection rate of the full-triangle type must sit within 3 sigma of

@@ -1,3 +1,4 @@
+import gc
 import io
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 from streamscope.errors import (BadWeightError, DuplicateEdgeError,
                                 LabelOutOfRangeError, ParseError,
                                 SelfLoopError)
-from streamscope.graphs import (Graph, edge, load_edge_list,
+from streamscope.graphs import (Edge, Graph, edge, load_edge_list,
                                 serialize_edge_list, truncate_high_degree)
 
 
@@ -118,3 +119,67 @@ def test_neighbors_unique_and_degree(g):
         assert len(set(nbrs)) == len(nbrs) == g.degree(v)
         assert list(nbrs) == sorted(nbrs)
         assert v not in nbrs
+
+
+@pytest.mark.parametrize("edges, error, message", [
+    ([Edge(2, 2)], SelfLoopError, "self loop at 2"),
+    ([edge(1, 3), Edge(3, 3)], SelfLoopError, "self loop at 3"),
+    ([edge(1, 2), Edge(2, 1)], DuplicateEdgeError, "duplicate edge (1, 2)"),
+    ([Edge(3, 1), Edge(1, 3)], DuplicateEdgeError, "duplicate edge (1, 3)"),
+    ([Edge(4, 1)], LabelOutOfRangeError, "label 4 > n=3"),
+    ([Edge(2, 0)], LabelOutOfRangeError, "label 0 < 1"),
+], ids=["self-loop", "self-loop-after-edge", "reversed-duplicate",
+        "reversed-then-normal", "reversed-above-n", "reversed-zero"])
+def test_graph_refuses_raw_edges_with_the_same_errors(edges, error, message):
+    # Raw Edges that are reversed or self loops still go through edge(), and
+    # every refusal keeps its type and message.
+    with pytest.raises(error) as exc:
+        Graph(3, edges)
+    assert str(exc.value) == message
+
+
+def test_graph_normalizes_reversed_edges():
+    g = Graph(4, [Edge(3, 1, 2), Edge(4, 2, 1), edge(1, 2, 3)], weighted=True)
+    assert g.edges == (Edge(1, 2, 3), Edge(1, 3, 2), Edge(2, 4, 1))
+    assert g == Graph(4, [edge(3, 1, 2), edge(4, 2, 1), edge(1, 2, 3)],
+                      weighted=True)
+    assert g.neighbors_sorted(1) == (2, 3)
+
+
+def test_load_restores_the_collector_state():
+    assert gc.isenabled()
+    load_edge_list("n=3\n1 2\n2 3\n")
+    assert gc.isenabled()
+    with pytest.raises(ParseError):
+        load_edge_list("1 2\n1 x\n")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        load_edge_list("1 2\n")
+        assert not gc.isenabled()
+        with pytest.raises(ParseError):
+            load_edge_list("1 2\n1 x\n")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_load_leaves_no_cycles():
+    # load_edge_list pauses the cyclic collector, which is only safe while a
+    # load creates no reference cycle.
+    text = serialize_edge_list(Graph(40, [edge(u, v, 1 + (u * v) % 4)
+                                          for u in range(1, 40)
+                                          for v in range(u + 1, 41, 7)],
+                                     weighted=True))
+    gc.collect()
+    gc.disable()
+    try:
+        g = load_edge_list(text)
+        assert gc.collect() == 0
+        del g
+        assert gc.collect() == 0
+        with pytest.raises(ParseError):
+            load_edge_list(text + "1 x 1\n")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

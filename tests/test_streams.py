@@ -10,8 +10,8 @@ from streamscope.errors import (BadWError, StreamscopeError,
 from streamscope.graphs import Graph, edge
 from streamscope.detectors import TreeDetector
 from streamscope.estimators import EstimatorParams, RootPass
-from streamscope.streams import (CountingStream, _count_heads, shuffle_stream,
-                                 split_seed, threshold_view)
+from streamscope.streams import (CountingStream, _count_heads, _fisher_yates,
+                                 shuffle_stream, split_seed, threshold_view)
 
 TRIANGLE = Graph(3, [edge(1, 2), edge(1, 3), edge(2, 3)])
 
@@ -74,8 +74,9 @@ def test_lambda_single_large_draw():
 
 
 def test_root_pass_heads_is_the_coin_count():
-    # The estimators' online Λ is the routine the Λ-law tests above and the
-    # Monte-Carlo twins draw from, on the pass's "coins" child seed.
+    # The estimators draw Λ after the pass with the routine the Λ-law tests
+    # above and the Monte-Carlo twins draw from, one coin per edge read, on
+    # the pass's "coins" child seed.
     g = Graph(30, [edge(u, u + 1) for u in range(1, 30)])
     for seed, tau in ((3, 0.3), (8, 0.5)):
         params = EstimatorParams(tau=tau, s=10, k_max=3, seed=seed)
@@ -159,3 +160,28 @@ def test_threshold_view_rejects_when_w_is_one():
     g1 = Graph(2, [edge(1, 2, 1)], weighted=True, W=1)
     with pytest.raises(BadWError):
         threshold_view(shuffle_stream(g1, 0), 1)
+
+
+def _randrange_fisher_yates(items, rng):
+    # Reference draw: the explicit randrange Fisher-Yates loop. Every seeded
+    # stream, report and check of the library was drawn with it, so
+    # _fisher_yates must permute exactly alike.
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3,
+                                  split_seed(5, "permutation")])
+def test_fisher_yates_matches_the_randrange_loop(seed):
+    for length in range(51):
+        want = list(range(length))
+        _randrange_fisher_yates(want, random.Random(seed))
+        got = list(range(length))
+        _fisher_yates(got, random.Random(seed))
+        assert got == want, length
+    # the generators end in the same state too, so later draws agree
+    a, b = random.Random(seed), random.Random(seed)
+    _randrange_fisher_yates(list(range(50)), a)
+    _fisher_yates(list(range(50)), b)
+    assert a.random() == b.random()
