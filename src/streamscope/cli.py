@@ -194,6 +194,9 @@ def cmd_run_disc(args) -> int:
 
 def cmd_run_mis(args) -> int:
     _check_disc_shape(args)
+    if args.mis_samples < 1:
+        raise ConfigError(f"--mis-samples must be >= 1, got "
+                          f"{args.mis_samples}")
     g = _load_graph(args)
     if args.exact:
         size, witness = exact_mis(g, args.mis_component_cap)

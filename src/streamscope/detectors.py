@@ -1,14 +1,16 @@
 """Single-pass per-root detectors and the shared dispatch grid.
 
-Each detector is a sequential state machine fed every stream edge in time
-order. Violation checks run on every edge including those after the phase
-threshold; only the time step of the last accepted edge is compared against
-the threshold at finalize time. Bad is absorbing, and a dead detector's
-memory is released from the dispatch index immediately.
+Each detector is a sequential state machine fed the stream edges in time
+order, and only the time step of its last accepted edge is compared against
+the phase threshold at finalize time. Bad is absorbing, and a dead
+detector's memory is released from the dispatch index immediately. When the
+threshold is known before the pass, the grid retires a detector as late the
+moment it accepts an edge after it: that detector can no longer finish Good.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from . import canonical
@@ -138,12 +140,22 @@ class DetectorGrid:
 
     An edge can only change a detector whose collected structure already
     contains one of its endpoints, so the grid keeps an index from vertex to
-    the detectors watching it and touches nothing else. Results are identical
-    to feeding every edge to every detector sequentially.
+    the detectors watching it and touches nothing else. Without a cutoff,
+    results are identical to feeding every edge to every detector
+    sequentially.
+
+    A finite cutoff is the phase threshold drawn before the pass. A live
+    detector that accepts an edge at a time step past it dies at once as
+    BAD_LATE: its last-accept time already exceeds the threshold, so
+    finalize there would be Bad anyway. Every Good outcome and its
+    last-accept time stay as without the cutoff; only the reason a Bad
+    detector records can change (late where a later edge would have found
+    it violating or small).
     """
 
-    def __init__(self, detectors):
+    def __init__(self, detectors, cutoff: float = math.inf):
         self.detectors: List = list(detectors)
+        self.cutoff = cutoff
         # vertex -> ids of the live detectors whose structure contains it;
         # read-only outside the grid
         self.index: Dict[int, Set[int]] = {}
@@ -177,11 +189,15 @@ class DetectorGrid:
         # only add the other endpoint, so the bucket iterated is not changed.
         detectors = self.detectors
         members = self._members
+        late = t > self.cutoff
         dead = None
         for i in hit:
             det = detectors[i]
             added = det.update(a, b, t)
-            if added is not None:
+            if late and det.t_last == t and det.status == ACTIVE:
+                det.status = DEAD
+                det.reason = BAD_LATE
+            elif added is not None:
                 index.setdefault(added, set()).add(i)
                 members[i].append(added)
                 self._slots += 1

@@ -1,11 +1,14 @@
 """End-to-end estimators over a single random-order pass.
 
 All estimators follow one shape, written once as RootPass: sample roots,
-run one detector per root over one shared pass through the stream, and only
-at the end draw the phase threshold (one coin per edge read) and compare
-each detector's last-accept time against it. A tree detector capped at
-k_max decides every target size k <= k_max, and a disc detector's collected
-structure names its type, so no root needs more than one detector. Estimates then rescale the surviving indicator counts by the
+run one detector per root over one shared pass through the stream, and
+compare each detector's last-accept time against the phase threshold (one
+coin per edge read). The threshold is drawn before the pass when the
+stream's length is known, so the grid can retire a detector as soon as it
+accepts an edge too late to count, and after the pass otherwise. A tree
+detector capped at k_max decides every target size k <= k_max, and a disc
+detector's collected structure names its type, so no root needs more than
+one detector. Estimates then rescale the surviving indicator counts by the
 exact first-phase collection probability.
 """
 
@@ -18,16 +21,17 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .canonical import DiscType, materialize_disc, project_extended_disc
 from .detectors import (BAD_SMALL, GOOD, DetectorGrid, DiscDetector,
                         TreeDetector)
 from .errors import (AllEstimatesNonpositiveError, BadWError,
-                     EmptyVertexSetError, RadiusMismatchError,
+                     EmptyVertexSetError, InvariantError, RadiusMismatchError,
                      StreamscopeError, UnweightedStreamError)
 from .graphs import _without_cycle_collection
-from .streams import CountingStream, EdgeStream, _count_heads, split_seed
+from .streams import (CountingStream, EdgeStream, _count_heads, known_length,
+                      split_seed)
 
 WITHOUT_REPLACEMENT = "without_replacement"
 WITH_REPLACEMENT = "with_replacement"
@@ -135,18 +139,26 @@ class RootPass:
     Feed every qualifying edge exactly once, in stream order; the pass keeps
     its own clock, so several passes can share one physical read of
     differently filtered views. Its phase threshold Λ (`heads`) is one
-    tau-coin per fed edge, drawn after the pass from the pass's own coin
-    generator: only the number of edges fed decides it.
+    tau-coin per fed edge from the pass's own coin generator: only the
+    number of edges fed decides it. Given that number m up front, the pass
+    draws Λ before its first edge and hands it to the grid as the cutoff
+    past which a detector's accept retires it; without m it draws Λ after
+    the pass from the edges fed, and the grid has no cutoff. The two draws
+    are the same coins.
     """
 
     def __init__(self, n: int, params: EstimatorParams,
-                 make_detector: Callable[[int], object]):
+                 make_detector: Callable[[int], object],
+                 m: Optional[int] = None):
         self.n = n
         self.params = params
         self.roots, self.sample_mode = sample_roots(
             n, params.s, split_seed(params.seed, "sample"))
         self.t = 0
-        self.grid = DetectorGrid(make_detector(v) for v in sorted(self.roots))
+        self.m = m
+        self.grid = DetectorGrid(
+            (make_detector(v) for v in sorted(self.roots)),
+            math.inf if m is None else self._draw_heads(m))
 
     def feed(self, u: int, v: int) -> None:
         self.t += 1
@@ -157,12 +169,21 @@ class RootPass:
         for e, _t in CountingStream(stream):
             self.feed(e.u, e.v)
 
+    def _draw_heads(self, m: int) -> int:
+        params = self.params
+        return _count_heads(m, params.tau, random.Random(
+            split_seed(params.seed, "coins")))
+
     @property
     def heads(self) -> int:
-        """Λ: heads among the t coins of the edges fed so far."""
-        params = self.params
-        return _count_heads(self.t, params.tau, random.Random(
-            split_seed(params.seed, "coins")))
+        """Λ: heads among the coins of the edges fed, one coin per edge;
+        the draw made before the pass when m was given."""
+        if self.m is None:
+            return self._draw_heads(self.t)
+        if self.t != self.m:
+            raise InvariantError(f"the pass fed {self.t} edges but drew its "
+                                 f"phase threshold for {self.m}")
+        return self.grid.cutoff
 
     def outcomes(self, lam: int):
         """(detector, outcome) pairs at the phase threshold lam."""
@@ -173,8 +194,10 @@ class NumCCRun(RootPass):
     """One online component-count estimation instance: a k_max-capped tree
     detector per root."""
 
-    def __init__(self, n: int, params: EstimatorParams):
-        super().__init__(n, params, lambda v: TreeDetector(v, params.k_max))
+    def __init__(self, n: int, params: EstimatorParams,
+                 m: Optional[int] = None):
+        super().__init__(n, params, lambda v: TreeDetector(v, params.k_max),
+                         m)
 
     def finalize(self) -> EstimateReport:
         params = self.params
@@ -209,7 +232,7 @@ def num_cc(stream: EdgeStream, n: int, params: EstimatorParams) -> EstimateRepor
     Components larger than k_max are invisible to the estimate; they can
     shrink the result by at most n / k_max.
     """
-    run = NumCCRun(n, params)
+    run = NumCCRun(n, params, known_length(stream))
     run.read(stream)
     return run.finalize()
 
@@ -245,7 +268,9 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
     One component-count instance per weight threshold t < W runs over the
     filtered view of edges with weight <= t; all instances share the single
     physical pass, each counting only the edges that qualify for it, so each
-    draws its phase threshold over its own view. The estimate is n - W plus
+    draws its phase threshold over its own view. A view's length is known
+    only once the pass ends, so these thresholds are drawn after it and the
+    grids run without a cutoff. The estimate is n - W plus
     the threshold estimates. Connectivity of the input is the caller's
     responsibility.
     """
@@ -318,7 +343,8 @@ def num_disc(stream: EdgeStream, n: int, k: int, d: int,
     canonical code of whatever it collected, which is observationally the
     same as running one detector per (root, type) pair but linearly cheaper.
     """
-    run = RootPass(n, params, lambda v: DiscDetector(v, k, d))
+    run = RootPass(n, params, lambda v: DiscDetector(v, k, d),
+                   known_length(stream))
     run.read(stream)
     indicators: Dict[DiscType, int] = {}
     witnesses: Dict[DiscType, List[int]] = {}

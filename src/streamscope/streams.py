@@ -99,6 +99,12 @@ def threshold_view(stream: EdgeStream, t: int) -> EdgeStream:
     return EdgeStream(kept, weighted=True, W=stream.W)
 
 
+def known_length(stream) -> Optional[int]:
+    """The number of edges a stream will yield, or None when it cannot say
+    before it is read (a file replayed line by line)."""
+    return len(stream) if hasattr(stream, "__len__") else None
+
+
 class CountingStream:
     """Single-pass guard: yields each item once, refuses a second pass, and
     raises StreamscopeError when a pass ends short of the stream's length."""
@@ -115,8 +121,8 @@ class CountingStream:
         for item in self._stream:
             self.reads += 1
             yield item
-        if hasattr(self._stream, "__len__") and \
-                self.reads != len(self._stream):
-            raise StreamscopeError(f"estimator read {self.reads} of "
-                                   f"{len(self._stream)} stream edges; it "
-                                   f"must read each exactly once")
+        m = known_length(self._stream)
+        if m is not None and self.reads != m:
+            raise StreamscopeError(f"estimator read {self.reads} of {m} "
+                                   f"stream edges; it must read each "
+                                   f"exactly once")

@@ -454,3 +454,44 @@ def test_disc_shape_is_a_config_error(command, k, d, tmp_path, capsys):
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err.startswith("error: --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_mis_samples_is_a_config_error(samples, tmp_path, capsys):
+    # Refused before the graph is loaded, like --k and --d: the missing file
+    # is never opened, which would exit 3.
+    argv = ["run-mis", "--input", str(tmp_path / "missing.el"), "--tau",
+            "0.3", "--samples", "4", "--k", "1", "--d", "2",
+            "--mis-samples", samples]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"error: --mis-samples must be >= 1, got {samples}\n"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import subprocess
+    import sys
+
+    import streamscope
+
+    src = os.path.dirname(os.path.dirname(streamscope.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "cc.json"
+    argv = ["run-cc", "--gen", "cc-benchmark", "--tau", "0.2", "--samples",
+            "50", "--kmax", "3", "--seed", "4"]
+    done = subprocess.run([sys.executable, "-m", "streamscope", *argv,
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main(argv + ["--out", str(tmp_path / "in-process.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "in-process.json").read_bytes()
+    bad = subprocess.run([sys.executable, "-m", "streamscope", "run-mis",
+                          "--gen", "cc-benchmark", "--tau", "0.3",
+                          "--samples", "4", "--k", "1", "--d", "2",
+                          "--mis-samples", "0"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert "--mis-samples" in bad.stderr

@@ -304,3 +304,49 @@ def test_grid_matches_sequential_detectors(specs, seq, lam):
         assert grid.index == watched
         assert grid.peak_slots == peak
     assert grid.finalize(lam) == [det.finalize(lam) for det in reference]
+
+
+@given(detector_specs, edge_seqs, st.integers(0, 12))
+@example([("tree", 1, 3, 1), ("disc", 1, 2, 2)],
+         [(1, 2), (2, 3), (1, 3)], 1)
+@settings(max_examples=300, deadline=None)
+def test_cutoff_keeps_every_outcome_that_can_count(specs, seq, cutoff):
+    """A grid cut at Λ and one without a cutoff, finalized at Λ, agree on
+    every outcome an estimator counts: Good or a disc type, and a tree
+    detector that stays small with its last accept in phase (num_cc books
+    it at its size). They agree on its last-accept time and collected
+    vertices too. Every other outcome of the cut grid is Bad, and cutting
+    never raises the peak slot count."""
+    uncut = DetectorGrid(_make_detectors(specs))
+    cut = DetectorGrid(_make_detectors(specs), cutoff)
+    for t, (a, b) in enumerate(seq, start=1):
+        uncut.feed(a, b, t)
+        cut.feed(a, b, t)
+    for want, got, ref, det in zip(uncut.finalize(cutoff),
+                                   cut.finalize(cutoff), uncut.detectors,
+                                   cut.detectors):
+        if not isinstance(want, str) or want == GOOD or (
+                want == BAD_SMALL and ref.t_last <= cutoff):
+            assert got == want
+            assert det.t_last == ref.t_last
+            assert list(det.member_vertices()) == \
+                list(ref.member_vertices())
+        else:
+            assert isinstance(got, str) and got != GOOD
+    assert cut.peak_slots <= uncut.peak_slots
+
+
+def test_cutoff_retires_a_late_accept():
+    tree, disc, k1 = TreeDetector(1, 3), DiscDetector(4, 1, 2), \
+        TreeDetector(6, 1)
+    grid = DetectorGrid([tree, disc, k1], cutoff=1)
+    grid.feed(1, 2, 1)      # in phase: the tree detector keeps collecting
+    assert tree.status == ACTIVE and 2 in grid.index
+    grid.feed(2, 3, 2)      # a tree accept after the cutoff
+    grid.feed(4, 5, 3)      # a disc accept after the cutoff
+    grid.feed(6, 7, 4)      # too large already: the reason stays
+    assert (tree.status, tree.reason) == (DEAD, BAD_LATE)
+    assert (disc.status, disc.reason) == (DEAD, BAD_LATE)
+    assert (k1.status, k1.reason) == (DEAD, BAD_LARGE)
+    assert grid.index == {}
+    assert grid.finalize(1) == [BAD_LATE, BAD_LATE, BAD_LARGE]

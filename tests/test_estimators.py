@@ -361,6 +361,17 @@ def test_mst_instances_equal_num_cc_on_threshold_views():
         assert rep.threshold_reports[t].indicator_counts == direct.indicator_counts
 
 
+class _LengthUnknown:
+    """A stream that cannot tell its length before it is read, as a file
+    replayed line by line cannot."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __iter__(self):
+        return iter(self._stream)
+
+
 @st.composite
 def _weighted_graphs(draw):
     """A random simple graph on 1..10 vertices with W in 1..6 and weights
@@ -383,7 +394,10 @@ def _weighted_graphs(draw):
 def test_mst_threshold_reports_equal_num_cc_on_views(graph_w, seed, tau, s,
                                                      k_max):
     # Skipping a threshold whose grid watches neither endpoint, and drawing
-    # Λ after the pass, leave each threshold exactly num_cc on its view.
+    # Λ after the pass, leave each threshold exactly num_cc on its view read
+    # without a known length, which draws Λ after the pass too and so runs
+    # its grid without a cutoff. num_cc on the view itself knows m, cuts,
+    # and may only hold fewer slots.
     from streamscope.streams import threshold_view
 
     g, W = graph_w
@@ -392,13 +406,35 @@ def test_mst_threshold_reports_equal_num_cc_on_views(graph_w, seed, tau, s,
     rep = mst_weight(stream, g.n, W, params)
     assert sorted(rep.threshold_reports) == list(range(1, W))
     for t, got in rep.threshold_reports.items():
-        want = num_cc(threshold_view(stream, t), g.n, EstimatorParams(
-            tau=tau, s=s, k_max=k_max,
-            seed=split_seed(seed, f"threshold-{t}")))
+        view = threshold_view(stream, t)
+        sub = EstimatorParams(tau=tau, s=s, k_max=k_max,
+                              seed=split_seed(seed, f"threshold-{t}"))
+        want = num_cc(_LengthUnknown(view), g.n, sub)
         assert got.per_k == want.per_k
         assert got.indicator_counts == want.indicator_counts
         assert got.m_observed == want.m_observed
         assert got.peak_tree_slots == want.peak_tree_slots
+        cut = num_cc(view, g.n, sub)
+        assert cut.to_json() == want.to_json()
+        assert cut.peak_tree_slots <= want.peak_tree_slots
+
+
+@given(st.integers(1, 10), st.integers(0, 45), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.1, 0.3, 0.6]), st.integers(1, 12),
+       st.integers(1, 5), st.integers(0, 3), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_reports_do_not_depend_on_a_known_length(n, m, seed, tau, s, k_max,
+                                                 k, d):
+    # With the length known, Λ is drawn before the pass and the grid retires
+    # late detectors; without it, Λ is drawn after. The reports are the same
+    # bytes.
+    g = random_graph(n, min(m, n * (n - 1) // 2), seed)
+    stream = shuffle_stream(g, split_seed(seed, "permutation"))
+    params = EstimatorParams(tau=tau, s=s, k_max=k_max, seed=seed)
+    assert num_cc(stream, g.n, params).to_json() == \
+        num_cc(_LengthUnknown(stream), g.n, params).to_json()
+    assert num_disc(stream, g.n, k, d, params).to_json() == \
+        num_disc(_LengthUnknown(stream), g.n, k, d, params).to_json()
 
 
 def test_num_disc_triangle_indicators_match_enumeration():

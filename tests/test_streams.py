@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamscope.errors import (BadWError, StreamscopeError,
+from streamscope.errors import (BadWError, InvariantError, StreamscopeError,
                                UnweightedStreamError)
 from streamscope.graphs import Graph, edge
 from streamscope.detectors import TreeDetector
@@ -74,16 +74,30 @@ def test_lambda_single_large_draw():
 
 
 def test_root_pass_heads_is_the_coin_count():
-    # The estimators draw Λ after the pass with the routine the Λ-law tests
-    # above and the Monte-Carlo twins draw from, one coin per edge read, on
-    # the pass's "coins" child seed.
+    # The estimators draw Λ with the routine the Λ-law tests above and the
+    # Monte-Carlo twins draw from, one coin per edge read, on the pass's
+    # "coins" child seed: before the pass when given the stream's length,
+    # where it also becomes the grid's cutoff, and after the pass otherwise.
     g = Graph(30, [edge(u, u + 1) for u in range(1, 30)])
     for seed, tau in ((3, 0.3), (8, 0.5)):
         params = EstimatorParams(tau=tau, s=10, k_max=3, seed=seed)
-        rp = RootPass(g.n, params, lambda v: TreeDetector(v, 3))
-        rp.read(shuffle_stream(g, seed))
         want = _count_heads(g.m, tau, random.Random(split_seed(seed, "coins")))
-        assert rp.t == g.m and rp.heads == want
+        for m, cutoff in ((g.m, want), (None, math.inf)):
+            rp = RootPass(g.n, params, lambda v: TreeDetector(v, 3), m)
+            assert rp.grid.cutoff == cutoff
+            rp.read(shuffle_stream(g, seed))
+            assert rp.t == g.m and rp.heads == want
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_root_pass_fed_other_than_m_edges_is_a_typed_error(m):
+    g = Graph(6, [edge(u, u + 1) for u in range(1, 6)])
+    params = EstimatorParams(tau=0.5, s=3, k_max=2, seed=1)
+    rp = RootPass(g.n, params, lambda v: TreeDetector(v, 2), m)
+    for e in g.edges:
+        rp.feed(e.u, e.v)
+    with pytest.raises(InvariantError, match=f"fed 5 edges .* for {m}"):
+        rp.heads
 
 
 def test_lambda_independent_of_permutation_stream():
