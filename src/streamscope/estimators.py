@@ -4,8 +4,9 @@ All estimators follow one shape, written once as RootPass: sample roots,
 run one detector per root over one shared pass through the stream, and
 compare each detector's last-accept time against the phase threshold (one
 coin per edge read). The threshold is drawn before the pass when the
-stream's length is known, so the grid can retire a detector as soon as it
-accepts an edge too late to count, and after the pass otherwise. A tree
+stream's length is known (for a weight-threshold view, from the stream's
+weight histogram), so the grid can retire a detector as soon as it accepts
+an edge too late to count, and after the pass otherwise. A tree
 detector capped at k_max decides every target size k <= k_max, and a disc
 detector's collected structure names its type, so no root needs more than
 one detector. Estimates then rescale the surviving indicator counts by the
@@ -144,7 +145,8 @@ class RootPass:
     draws Λ before its first edge and hands it to the grid as the cutoff
     past which a detector's accept retires it; without m it draws Λ after
     the pass from the edges fed, and the grid has no cutoff. The two draws
-    are the same coins.
+    are the same coins. mst_weight's threshold views get their m from the
+    stream's weight histogram, the per-threshold version of len(stream).
     """
 
     def __init__(self, n: int, params: EstimatorParams,
@@ -260,6 +262,11 @@ class MstReport(Report):
         }
 
 
+def _check_weight(w, W: int) -> None:
+    if w is None or not 1 <= w <= W:
+        raise BadWError(f"edge weight {w} outside [1..{W}]")
+
+
 @_without_cycle_collection
 def mst_weight(stream: EdgeStream, n: int, W: int,
                params: EstimatorParams) -> MstReport:
@@ -268,11 +275,12 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
     One component-count instance per weight threshold t < W runs over the
     filtered view of edges with weight <= t; all instances share the single
     physical pass, each counting only the edges that qualify for it, so each
-    draws its phase threshold over its own view. A view's length is known
-    only once the pass ends, so these thresholds are drawn after it and the
-    grids run without a cutoff. The estimate is n - W plus
-    the threshold estimates. Connectivity of the input is the caller's
-    responsibility.
+    draws its phase threshold over its own view. The weight histogram of a
+    materialized stream is the per-threshold version of its length: it gives
+    every view's length m_t before the pass, so each threshold draws Λ_t
+    before it and cuts its grid there. A stream of unknown length draws them
+    after the pass. The estimate is n - W plus the threshold estimates.
+    Connectivity of the input is the caller's responsibility.
     """
     if not stream.weighted:
         raise UnweightedStreamError("mst_weight needs a weighted stream")
@@ -280,21 +288,29 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
         raise BadWError(f"W must be >= 1, got {W}")
     if n <= 0:
         raise EmptyVertexSetError("graph has no vertices")
+    lazy = known_length(stream) is None
+    if not lazy:
+        # weights are checked here, before any grid is built
+        hist = Counter(e.w for e in stream.edges)
+        for w in hist:
+            _check_weight(w, W)
+    lengths = [None] * (W - 1) if lazy else list(
+        itertools.accumulate(hist[t] for t in range(1, W)))
     runs = [NumCCRun(n, replace(
-        params, seed=split_seed(params.seed, f"threshold-{t}")))
-        for t in range(1, W)]
+        params, seed=split_seed(params.seed, f"threshold-{t}")), m_t)
+        for t, m_t in enumerate(lengths, start=1)]
+    views = [(run, run.grid.index, run.grid.feed) for run in runs]
     counting = CountingStream(stream)
     for (u, v, w), _t in counting:
-        if w is None or not 1 <= w <= W:
-            raise BadWError(f"edge weight {w} outside [1..{W}]")
+        if lazy:
+            _check_weight(w, W)
         # thresholds t >= w see the edge; each counts it on its own clock
         # but feeds its grid only when the grid watches an endpoint, as
         # DetectorGrid.feed would otherwise return without an update
-        for run in runs[w - 1:]:
+        for run, watched, feed in views[w - 1:]:
             run.t += 1
-            watched = run.grid.index
             if u in watched or v in watched:
-                run.grid.feed(u, v, run.t)
+                feed(u, v, run.t)
     reports = {t: run.finalize() for t, run in enumerate(runs, start=1)}
     per_threshold = {t: rep.total for t, rep in reports.items()}
     estimate = n - W + sum(per_threshold.values())

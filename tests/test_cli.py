@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from streamscope.cli import main
-from streamscope.corpus import cc_benchmark
+from streamscope.corpus import cc_benchmark, weighted_path
+from streamscope.estimators import EstimatorParams, mst_weight
 from streamscope.graphs import serialize_edge_list
+from streamscope.streams import given_order_stream, split_seed
 
 
 @pytest.fixture
@@ -62,6 +64,24 @@ def test_run_cc_given_order(cc_file, capsys):
                "--stream-order", "given"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["m"] == 180
+
+
+def test_run_mst_given_order_matches_the_materialized_stream(tmp_path):
+    # The file replay cannot know a threshold view's length before the pass,
+    # so it draws each Λ_t after it and cuts nothing; the materialized
+    # given-order stream draws them before and cuts. Same bytes.
+    g = weighted_path(n=60, heavy_every=3, W=3)
+    path = tmp_path / "w.el"
+    path.write_text(serialize_edge_list(g))
+    out = str(tmp_path / "r.json")
+    rc = main(["run-mst", "--input", str(path), "--tau", "0.3",
+               "--samples", "40", "--kmax", "4", "--seed", "5",
+               "--stream-order", "given", "--out", out])
+    assert rc == 0
+    params = EstimatorParams(tau=0.3, s=40, k_max=4,
+                             seed=split_seed(5, "estimator"))
+    want = mst_weight(given_order_stream(g), g.n, g.W, params).to_json()
+    assert open(out).read() == want
 
 
 def test_input_error_exit_3(tmp_path, capsys):

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import statistics
+import time
 import types
 
 import pytest
@@ -367,6 +368,7 @@ class _LengthUnknown:
 
     def __init__(self, stream):
         self._stream = stream
+        self.weighted = stream.weighted
 
     def __iter__(self):
         return iter(self._stream)
@@ -393,11 +395,12 @@ def _weighted_graphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_mst_threshold_reports_equal_num_cc_on_views(graph_w, seed, tau, s,
                                                      k_max):
-    # Skipping a threshold whose grid watches neither endpoint, and drawing
-    # Λ after the pass, leave each threshold exactly num_cc on its view read
-    # without a known length, which draws Λ after the pass too and so runs
-    # its grid without a cutoff. num_cc on the view itself knows m, cuts,
-    # and may only hold fewer slots.
+    # Each threshold knows its view's length from the weight histogram, draws
+    # Λ before the pass and cuts its grid there, exactly as num_cc on the
+    # materialized view does; skipping a threshold whose grid watches
+    # neither endpoint changes nothing. Read without a known length, the
+    # view draws Λ after the pass and runs uncut: the same counts, and
+    # possibly more slots.
     from streamscope.streams import threshold_view
 
     g, W = graph_w
@@ -409,14 +412,45 @@ def test_mst_threshold_reports_equal_num_cc_on_views(graph_w, seed, tau, s,
         view = threshold_view(stream, t)
         sub = EstimatorParams(tau=tau, s=s, k_max=k_max,
                               seed=split_seed(seed, f"threshold-{t}"))
-        want = num_cc(_LengthUnknown(view), g.n, sub)
-        assert got.per_k == want.per_k
-        assert got.indicator_counts == want.indicator_counts
+        want = num_cc(view, g.n, sub)
+        assert got.to_json() == want.to_json()
         assert got.m_observed == want.m_observed
         assert got.peak_tree_slots == want.peak_tree_slots
-        cut = num_cc(view, g.n, sub)
-        assert cut.to_json() == want.to_json()
-        assert cut.peak_tree_slots <= want.peak_tree_slots
+        uncut = num_cc(_LengthUnknown(view), g.n, sub)
+        assert got.per_k == uncut.per_k
+        assert got.indicator_counts == uncut.indicator_counts
+        assert got.peak_tree_slots <= uncut.peak_tree_slots
+
+
+@given(_weighted_graphs(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.1, 0.3, 0.6]), st.integers(1, 12),
+       st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_mst_weight_does_not_depend_on_a_known_length(graph_w, seed, tau, s,
+                                                      k_max):
+    # With the length known, each threshold cuts its grid at a Λ_t drawn
+    # before the pass; without it, Λ_t is drawn after and nothing is cut.
+    # The reports are the same bytes, and a cut grid never holds more.
+    g, W = graph_w
+    params = EstimatorParams(tau=tau, s=s, k_max=k_max, seed=seed)
+    stream = shuffle_stream(g, split_seed(seed, "permutation"))
+    cut = mst_weight(stream, g.n, W, params)
+    uncut = mst_weight(_LengthUnknown(stream), g.n, W, params)
+    assert cut.to_json() == uncut.to_json()
+    for t, rep in cut.threshold_reports.items():
+        assert rep.peak_tree_slots <= uncut.threshold_reports[t].peak_tree_slots
+
+
+@pytest.mark.parametrize("bad", [0, 10 ** 6 + 1])
+def test_mst_weight_refuses_a_bad_weight_before_building_grids(bad):
+    # A million thresholds would take about a minute and gigabytes to build,
+    # so a refusal within a fraction of a second shows that none was built.
+    stream = EdgeStream([edge(1, 2, 1), edge(2, 3, bad)], weighted=True,
+                        W=10 ** 6)
+    start = time.perf_counter()
+    with pytest.raises(BadWError):
+        mst_weight(stream, 3, 10 ** 6, EstimatorParams(tau=0.3, s=3, k_max=2))
+    assert time.perf_counter() - start < 0.25
 
 
 @given(st.integers(1, 10), st.integers(0, 45), st.integers(0, 2 ** 32 - 1),
