@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterator, Tuple
+from typing import Iterator, Optional
 
 from .corpus import (cc_benchmark, disc_benchmark, mixed_components,
                      padded_triangles, random_graph, random_small_components,
@@ -37,23 +37,30 @@ EXIT_COMPONENT_CAP = 5
 
 
 class _LazyFileStream:
-    """One-pass edge stream read straight from a file, nothing materialized.
+    """Edge stream read straight from a file, nothing materialized.
 
     Debugging aid for space-discipline runs: the order is the file order, not
-    random. graphs.EdgeLines parses the lines and refuses self loops and
-    labels above n in constant space; duplicate edges would need memory
-    linear in m, so they go undetected.
+    random. Building it reads the file once to count its edges, so the
+    stream can say its length before the pass; `n` is the given vertex
+    count, else the file's n= header, else None. Both reads go through
+    graphs.EdgeLines, which refuses self loops and labels above n in
+    constant space; duplicate edges would need memory linear in m, so they
+    go undetected.
     """
 
-    def __init__(self, path: str, n: int, weighted: bool):
+    def __init__(self, path: str, n: Optional[int]):
         self.path = path
-        self.n = n
-        self.weighted = weighted
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = EdgeLines(fh, n)
+            self.m = sum(1 for _ in lines)
+        self.n = lines.n
 
-    def __iter__(self) -> Iterator[Tuple[Edge, int]]:
+    def __len__(self) -> int:
+        return self.m
+
+    def __iter__(self) -> Iterator[Edge]:
         with open(self.path, "r", encoding="utf-8") as fh:
-            for t, e in enumerate(EdgeLines(fh, self.n), start=1):
-                yield e, t
+            yield from EdgeLines(fh, self.n)
 
 
 def _default_seed() -> int:
@@ -120,8 +127,6 @@ def _emit(args, text: str) -> None:
 
 def _stream_for(args, g: Graph) -> EdgeStream:
     if args.stream_order == "given":
-        if args.input:
-            return _LazyFileStream(args.input, g.n, g.weighted)
         return given_order_stream(g)
     return shuffle_stream(g, split_seed(args.seed, "permutation"))
 
@@ -134,11 +139,12 @@ def _params(args) -> EstimatorParams:
 
 def cmd_run_cc(args) -> int:
     if args.stream_order == "given" and args.input and not args.exact:
-        # one-pass file replay with nothing materialized; n must be explicit
-        if args.n is None:
-            raise ConfigError("--n is required with --stream-order given")
-        n = args.n
-        stream = _LazyFileStream(args.input, n, weighted=False)
+        # file replay with nothing materialized; n from --n or the header
+        stream = _LazyFileStream(args.input, args.n)
+        n = stream.n
+        if n is None:
+            raise ConfigError("--n is required when the edge list carries no "
+                              "n= header")
     else:
         g = _load_graph(args)
         n = g.n
@@ -267,8 +273,8 @@ def _add_common(p, weighted: bool = False, kmax: bool = False):
                    help="bypass streaming and emit the exact oracle answer")
     p.add_argument("--stream-order", choices=("shuffled", "given"),
                    default="shuffled",
-                   help="'given' replays the file order in one pass without "
-                        "materializing the edge set (debugging)")
+                   help="'given' keeps the file order (debugging); run-cc "
+                        "then replays the file without materializing it")
     if weighted:
         p.add_argument("--W", type=int, default=None,
                        help="maximum edge weight (inferred when omitted)")

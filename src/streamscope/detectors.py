@@ -3,9 +3,10 @@
 Each detector is a sequential state machine fed the stream edges in time
 order, and only the time step of its last accepted edge is compared against
 the phase threshold at finalize time. Bad is absorbing, and a dead
-detector's memory is released from the dispatch index immediately. When the
-threshold is known before the pass, the grid retires a detector as late the
-moment it accepts an edge after it: that detector can no longer finish Good.
+detector's memory is released from the dispatch index immediately. The
+estimators draw the threshold before the pass, so the grid retires a
+detector as late the moment it accepts an edge after it: that detector can
+no longer finish Good.
 """
 
 from __future__ import annotations

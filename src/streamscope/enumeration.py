@@ -20,7 +20,7 @@ from .canonical import DiscType, RootedTree, tree_update
 from .detectors import BAD_LATE, GOOD, DiscDetector, TreeDetector, _replay
 from .errors import InvariantError, TooManyEdgesError
 from .graphs import Graph
-from .streams import _count_heads, _fisher_yates, split_seed
+from .streams import _count_heads, split_seed
 
 OutcomeKey = Union[str, DiscType]
 
@@ -157,7 +157,7 @@ def montecarlo_outcomes(g: Graph, root: int, k: int, d: Optional[int], tau,
     m = len(edges)
     counts: Dict[OutcomeKey, int] = {}
     for _ in range(trials):
-        _fisher_yates(edges, perm_rng)
+        perm_rng.shuffle(edges)
         lam = _count_heads(m, tau, coin_rng)
         key = _replay(_detector(root, k, d), edges, lam)[0]
         counts[key] = counts.get(key, 0) + 1

@@ -3,14 +3,13 @@
 All estimators follow one shape, written once as RootPass: sample roots,
 run one detector per root over one shared pass through the stream, and
 compare each detector's last-accept time against the phase threshold (one
-coin per edge read). The threshold is drawn before the pass when the
-stream's length is known (for a weight-threshold view, from the stream's
-weight histogram), so the grid can retire a detector as soon as it accepts
-an edge too late to count, and after the pass otherwise. A tree
-detector capped at k_max decides every target size k <= k_max, and a disc
-detector's collected structure names its type, so no root needs more than
-one detector. Estimates then rescale the surviving indicator counts by the
-exact first-phase collection probability.
+coin per edge read). Every stream says its length, so the threshold is drawn
+before the pass (for a weight-threshold view, from the stream's weight
+histogram), and the grid retires a detector as soon as it accepts an edge
+too late to count. A tree detector capped at k_max decides every target
+size k <= k_max, and a disc detector's collected structure names its type,
+so no root needs more than one detector. Estimates then rescale the
+surviving indicator counts by the exact first-phase collection probability.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .canonical import DiscType, materialize_disc, project_extended_disc
 from .detectors import (BAD_SMALL, GOOD, DetectorGrid, DiscDetector,
@@ -31,8 +30,7 @@ from .errors import (AllEstimatesNonpositiveError, BadWError,
                      EmptyVertexSetError, InvariantError, RadiusMismatchError,
                      StreamscopeError, UnweightedStreamError)
 from .graphs import _without_cycle_collection
-from .streams import (CountingStream, EdgeStream, _count_heads, known_length,
-                      split_seed)
+from .streams import CountingStream, EdgeStream, _count_heads, split_seed
 
 WITHOUT_REPLACEMENT = "without_replacement"
 WITH_REPLACEMENT = "with_replacement"
@@ -140,18 +138,16 @@ class RootPass:
     Feed every qualifying edge exactly once, in stream order; the pass keeps
     its own clock, so several passes can share one physical read of
     differently filtered views. Its phase threshold Λ (`heads`) is one
-    tau-coin per fed edge from the pass's own coin generator: only the
-    number of edges fed decides it. Given that number m up front, the pass
-    draws Λ before its first edge and hands it to the grid as the cutoff
-    past which a detector's accept retires it; without m it draws Λ after
-    the pass from the edges fed, and the grid has no cutoff. The two draws
-    are the same coins. mst_weight's threshold views get their m from the
-    stream's weight histogram, the per-threshold version of len(stream).
+    tau-coin for each of the m edges the pass will feed, from the pass's own
+    coin generator: only m decides it. The pass draws Λ once, before its
+    first edge, and hands it to the grid as the cutoff past which a
+    detector's accept retires it. num_cc and num_disc take m from
+    len(stream); mst_weight's threshold views take it from the stream's
+    weight histogram, the per-threshold version of len(stream).
     """
 
     def __init__(self, n: int, params: EstimatorParams,
-                 make_detector: Callable[[int], object],
-                 m: Optional[int] = None):
+                 make_detector: Callable[[int], object], m: int):
         self.n = n
         self.params = params
         self.roots, self.sample_mode = sample_roots(
@@ -160,7 +156,8 @@ class RootPass:
         self.m = m
         self.grid = DetectorGrid(
             (make_detector(v) for v in sorted(self.roots)),
-            math.inf if m is None else self._draw_heads(m))
+            _count_heads(m, params.tau,
+                         random.Random(split_seed(params.seed, "coins"))))
 
     def feed(self, u: int, v: int) -> None:
         self.t += 1
@@ -168,20 +165,13 @@ class RootPass:
 
     def read(self, stream: EdgeStream) -> None:
         """Feed a whole stream, read exactly once."""
-        for e, _t in CountingStream(stream):
+        for e in CountingStream(stream):
             self.feed(e.u, e.v)
-
-    def _draw_heads(self, m: int) -> int:
-        params = self.params
-        return _count_heads(m, params.tau, random.Random(
-            split_seed(params.seed, "coins")))
 
     @property
     def heads(self) -> int:
-        """Λ: heads among the coins of the edges fed, one coin per edge;
-        the draw made before the pass when m was given."""
-        if self.m is None:
-            return self._draw_heads(self.t)
+        """Λ: heads among the coins of the m edges, drawn before the pass;
+        valid once the pass has fed exactly those m edges."""
         if self.t != self.m:
             raise InvariantError(f"the pass fed {self.t} edges but drew its "
                                  f"phase threshold for {self.m}")
@@ -196,8 +186,7 @@ class NumCCRun(RootPass):
     """One online component-count estimation instance: a k_max-capped tree
     detector per root."""
 
-    def __init__(self, n: int, params: EstimatorParams,
-                 m: Optional[int] = None):
+    def __init__(self, n: int, params: EstimatorParams, m: int):
         super().__init__(n, params, lambda v: TreeDetector(v, params.k_max),
                          m)
 
@@ -234,7 +223,7 @@ def num_cc(stream: EdgeStream, n: int, params: EstimatorParams) -> EstimateRepor
     Components larger than k_max are invisible to the estimate; they can
     shrink the result by at most n / k_max.
     """
-    run = NumCCRun(n, params, known_length(stream))
+    run = NumCCRun(n, params, len(stream))
     run.read(stream)
     return run.finalize()
 
@@ -262,11 +251,6 @@ class MstReport(Report):
         }
 
 
-def _check_weight(w, W: int) -> None:
-    if w is None or not 1 <= w <= W:
-        raise BadWError(f"edge weight {w} outside [1..{W}]")
-
-
 @_without_cycle_collection
 def mst_weight(stream: EdgeStream, n: int, W: int,
                params: EstimatorParams) -> MstReport:
@@ -275,12 +259,12 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
     One component-count instance per weight threshold t < W runs over the
     filtered view of edges with weight <= t; all instances share the single
     physical pass, each counting only the edges that qualify for it, so each
-    draws its phase threshold over its own view. The weight histogram of a
-    materialized stream is the per-threshold version of its length: it gives
-    every view's length m_t before the pass, so each threshold draws Λ_t
-    before it and cuts its grid there. A stream of unknown length draws them
-    after the pass. The estimate is n - W plus the threshold estimates.
-    Connectivity of the input is the caller's responsibility.
+    draws its phase threshold over its own view. The stream's weight
+    histogram is the per-threshold version of its length: it gives every
+    view's length m_t before the pass, so each threshold draws Λ_t before it
+    and cuts its grid there. The histogram is also the one weight check,
+    made before any grid is built. The estimate is n - W plus the threshold
+    estimates. Connectivity of the input is the caller's responsibility.
     """
     if not stream.weighted:
         raise UnweightedStreamError("mst_weight needs a weighted stream")
@@ -288,22 +272,17 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
         raise BadWError(f"W must be >= 1, got {W}")
     if n <= 0:
         raise EmptyVertexSetError("graph has no vertices")
-    lazy = known_length(stream) is None
-    if not lazy:
-        # weights are checked here, before any grid is built
-        hist = Counter(e.w for e in stream.edges)
-        for w in hist:
-            _check_weight(w, W)
-    lengths = [None] * (W - 1) if lazy else list(
-        itertools.accumulate(hist[t] for t in range(1, W)))
+    hist = Counter(e.w for e in stream.edges)
+    for w in hist:
+        if w is None or not 1 <= w <= W:
+            raise BadWError(f"edge weight {w} outside [1..{W}]")
+    lengths = itertools.accumulate(hist[t] for t in range(1, W))
     runs = [NumCCRun(n, replace(
         params, seed=split_seed(params.seed, f"threshold-{t}")), m_t)
         for t, m_t in enumerate(lengths, start=1)]
     views = [(run, run.grid.index, run.grid.feed) for run in runs]
     counting = CountingStream(stream)
-    for (u, v, w), _t in counting:
-        if lazy:
-            _check_weight(w, W)
+    for u, v, w in counting:
         # thresholds t >= w see the edge; each counts it on its own clock
         # but feeds its grid only when the grid watches an endpoint, as
         # DetectorGrid.feed would otherwise return without an update
@@ -359,8 +338,7 @@ def num_disc(stream: EdgeStream, n: int, k: int, d: int,
     canonical code of whatever it collected, which is observationally the
     same as running one detector per (root, type) pair but linearly cheaper.
     """
-    run = RootPass(n, params, lambda v: DiscDetector(v, k, d),
-                   known_length(stream))
+    run = RootPass(n, params, lambda v: DiscDetector(v, k, d), len(stream))
     run.read(stream)
     indicators: Dict[DiscType, int] = {}
     witnesses: Dict[DiscType, List[int]] = {}

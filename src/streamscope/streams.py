@@ -22,10 +22,11 @@ def split_seed(master: int, label: str) -> int:
 
 
 class EdgeStream:
-    """A fixed ordering of an edge set; time steps run 1..m in order.
+    """A fixed ordering of an edge set.
 
-    Iterating yields (Edge, time_step) pairs. Streams are immutable values;
-    estimators enforce their single read through CountingStream.
+    Iterating yields the edges in order; the pass that reads them numbers
+    them 1..m on its own clock. Streams are immutable values; estimators
+    enforce their single read through CountingStream.
     """
 
     __slots__ = ("edges", "weighted", "W")
@@ -42,8 +43,8 @@ class EdgeStream:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def __iter__(self) -> Iterator[Tuple[Edge, int]]:
-        return iter(zip(self.edges, range(1, len(self.edges) + 1)))
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(self.edges)
 
     def __eq__(self, other):
         return (isinstance(other, EdgeStream) and self.edges == other.edges
@@ -51,16 +52,6 @@ class EdgeStream:
 
     def __repr__(self):
         return f"EdgeStream(m={self.m}, weighted={self.weighted})"
-
-
-def _fisher_yates(items: list, rng: random.Random) -> None:
-    """In-place Fisher-Yates; isolated here so every caller permutes alike.
-
-    `Random.shuffle` swaps item i with item `_randbelow(i + 1)` for i from
-    len - 1 down to 1, the draw `randrange(i + 1)` makes, so it gives the
-    same permutation as that explicit loop (pinned by tests/test_streams.py).
-    """
-    rng.shuffle(items)
 
 
 def _count_heads(m: int, tau: float, rng: random.Random) -> int:
@@ -74,9 +65,15 @@ def _count_heads(m: int, tau: float, rng: random.Random) -> int:
 
 
 def shuffle_stream(g: Graph, seed: int) -> EdgeStream:
-    """Uniformly random ordering of g's edges; same seed, same stream."""
+    """Uniformly random ordering of g's edges; same seed, same stream.
+
+    `Random.shuffle` swaps item i with item `_randbelow(i + 1)` for i from
+    len - 1 down to 1, the draw `randrange(i + 1)` makes, so it gives the
+    same permutation as that explicit Fisher-Yates loop (pinned by
+    tests/test_streams.py); the checks' Monte-Carlo twins shuffle alike.
+    """
     items = list(g.edges)
-    _fisher_yates(items, random.Random(seed))
+    random.Random(seed).shuffle(items)
     return EdgeStream(items, weighted=g.weighted, W=g.W)
 
 
@@ -86,8 +83,9 @@ def given_order_stream(g: Graph) -> EdgeStream:
 
 
 def threshold_view(stream: EdgeStream, t: int) -> EdgeStream:
-    """Subsequence of edges with weight <= t, re-timestamped 1..m', keeping
-    relative order. A uniform source order induces a uniform order here.
+    """Subsequence of edges with weight <= t, keeping relative order; a
+    pass over it numbers them 1..m'. A uniform source order induces a
+    uniform order here.
     """
     if not stream.weighted:
         raise UnweightedStreamError("threshold_view needs a weighted stream")
@@ -99,15 +97,9 @@ def threshold_view(stream: EdgeStream, t: int) -> EdgeStream:
     return EdgeStream(kept, weighted=True, W=stream.W)
 
 
-def known_length(stream) -> Optional[int]:
-    """The number of edges a stream will yield, or None when it cannot say
-    before it is read (a file replayed line by line)."""
-    return len(stream) if hasattr(stream, "__len__") else None
-
-
 class CountingStream:
     """Single-pass guard: yields each item once, refuses a second pass, and
-    raises StreamscopeError when a pass ends short of the stream's length."""
+    raises StreamscopeError when a pass reads other than len(stream) items."""
 
     def __init__(self, stream):
         self._stream = stream
@@ -121,8 +113,8 @@ class CountingStream:
         for item in self._stream:
             self.reads += 1
             yield item
-        m = known_length(self._stream)
-        if m is not None and self.reads != m:
+        m = len(self._stream)
+        if self.reads != m:
             raise StreamscopeError(f"estimator read {self.reads} of {m} "
                                    f"stream edges; it must read each "
                                    f"exactly once")

@@ -37,7 +37,7 @@ from .enumeration import (binomial_tails, enumerate_outcomes,
 from .errors import StreamscopeError
 from .graphs import Graph, connected_components, edge
 from .oracles import kruskal_mst, mst_identity_value
-from .streams import _count_heads, _fisher_yates, split_seed
+from .streams import _count_heads, split_seed
 
 
 @dataclass
@@ -167,7 +167,7 @@ def montecarlo_good_counts(g: Graph, table, tau: float, trials: int,
     good: Dict[Tuple[int, int], int] = {(v, k): 0 for v in range(1, g.n + 1)
                                         for k in range(1, k_max + 1)}
     for _ in range(trials):
-        _fisher_yates(edges, perm_rng)
+        perm_rng.shuffle(edges)
         lam = _count_heads(m, tau, coin_rng)
         for cell, t_last in table[tuple(edges)]:
             if t_last <= lam:

@@ -261,10 +261,10 @@ def test_criterion_10_space_and_pass_discipline():
         g = padded_triangles(m_target)
         stream = shuffle_stream(g, split_seed(m_target, "permutation"))
         run = NumCCRun(g.n, EstimatorParams(
-            seed=split_seed(m_target, "estimator"), **params_proto))
+            seed=split_seed(m_target, "estimator"), **params_proto), g.m)
         counting = CountingStream(stream)
         t0 = time.perf_counter()
-        for e, _t in counting:
+        for e in counting:
             run.feed(e.u, e.v)
         elapsed = time.perf_counter() - t0
         rep = run.finalize()

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from streamscope.cli import main
 from streamscope.corpus import cc_benchmark, weighted_path
-from streamscope.estimators import EstimatorParams, mst_weight
+from streamscope.estimators import EstimatorParams, mst_weight, num_cc
 from streamscope.graphs import serialize_edge_list
 from streamscope.streams import given_order_stream, split_seed
 
@@ -66,10 +66,46 @@ def test_run_cc_given_order(cc_file, capsys):
     assert json.loads(capsys.readouterr().out)["m"] == 180
 
 
+@pytest.mark.parametrize("header,rc", [(True, 0), (False, 2)])
+def test_run_cc_given_order_takes_n_from_the_header(tmp_path, capsys, header,
+                                                    rc):
+    # the replay's counting read sees the n= header, so --n may be left out;
+    # with neither, n is unknown and the run exits 2
+    path = tmp_path / "g.el"
+    path.write_text(("n=5\n" if header else "") + "1 2\n2 3\n")
+    code = main(["run-cc", "--input", str(path), "--tau", "0.3",
+                 "--samples", "5", "--kmax", "3", "--stream-order", "given"])
+    out, err = capsys.readouterr()
+    assert code == rc
+    if rc:
+        assert out == "" and "--n" in err and err.count("\n") == 1
+    else:
+        doc = json.loads(out)
+        assert doc["n"] == 5 and doc["m"] == 2
+
+
+def test_run_cc_given_order_matches_the_materialized_stream(tmp_path):
+    # The file replay counts the file's edges before the pass, so it draws Λ
+    # and cuts its grid exactly as num_cc over the loaded graph's
+    # given-order stream does. Same bytes.
+    g = cc_benchmark()
+    path = tmp_path / "cc.el"
+    path.write_text(serialize_edge_list(g))
+    out = str(tmp_path / "r.json")
+    rc = main(["run-cc", "--input", str(path), "--n", str(g.n), "--tau", "0.3",
+               "--samples", "60", "--kmax", "4", "--seed", "3",
+               "--stream-order", "given", "--out", out])
+    assert rc == 0
+    params = EstimatorParams(tau=0.3, s=60, k_max=4,
+                             seed=split_seed(3, "estimator"))
+    want = num_cc(given_order_stream(g), g.n, params).to_json()
+    assert open(out).read() == want
+
+
 def test_run_mst_given_order_matches_the_materialized_stream(tmp_path):
-    # The file replay cannot know a threshold view's length before the pass,
-    # so it draws each Λ_t after it and cuts nothing; the materialized
-    # given-order stream draws them before and cuts. Same bytes.
+    # run-mst loads the whole graph, so --stream-order given streams the
+    # loaded edges in their stored order, which is the file's order:
+    # the same bytes as mst_weight over the graph's given-order stream.
     g = weighted_path(n=60, heavy_every=3, W=3)
     path = tmp_path / "w.el"
     path.write_text(serialize_edge_list(g))
@@ -489,7 +525,9 @@ def test_mis_samples_is_a_config_error(samples, tmp_path, capsys):
     assert err == f"error: --mis-samples must be >= 1, got {samples}\n"
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def _python_m_streamscope(argv, *flags):
+    """Run `python [flags] -m streamscope argv` in a fresh interpreter that
+    imports this checkout's package."""
     import subprocess
     import sys
 
@@ -499,19 +537,37 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = tmp_path / "cc.json"
-    argv = ["run-cc", "--gen", "cc-benchmark", "--tau", "0.2", "--samples",
-            "50", "--kmax", "3", "--seed", "4"]
-    done = subprocess.run([sys.executable, "-m", "streamscope", *argv,
-                           "--out", str(out)], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-m", "streamscope",
+                           *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _same_bytes_as_in_process(argv, tmp_path, *flags):
+    out = tmp_path / "subprocess.json"
+    done = _python_m_streamscope(argv + ["--out", str(out)], *flags)
     assert done.returncode == 0, done.stderr
     assert main(argv + ["--out", str(tmp_path / "in-process.json")]) == 0
     assert out.read_bytes() == (tmp_path / "in-process.json").read_bytes()
-    bad = subprocess.run([sys.executable, "-m", "streamscope", "run-mis",
-                          "--gen", "cc-benchmark", "--tau", "0.3",
-                          "--samples", "4", "--k", "1", "--d", "2",
-                          "--mis-samples", "0"], env=env, capture_output=True,
-                         text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    _same_bytes_as_in_process(
+        ["run-cc", "--gen", "cc-benchmark", "--tau", "0.2", "--samples",
+         "50", "--kmax", "3", "--seed", "4"], tmp_path)
+    bad = _python_m_streamscope(["run-mis", "--gen", "cc-benchmark", "--tau",
+                                 "0.3", "--samples", "4", "--k", "1", "--d",
+                                 "2", "--mis-samples", "0"])
     assert bad.returncode == 2 and bad.stdout == ""
     assert "--mis-samples" in bad.stderr
+
+
+def test_optimized_mode_writes_the_same_reports(cc_file, tmp_path):
+    # `python -O` strips asserts; the runtime checks (heads' InvariantError,
+    # the read-once guard) are typed errors, so the reports must not move
+    _same_bytes_as_in_process(
+        ["run-cc", "--input", cc_file, "--n", "230", "--tau", "0.3",
+         "--samples", "80", "--kmax", "4", "--seed", "2",
+         "--stream-order", "given"], tmp_path, "-O")
+    _same_bytes_as_in_process(
+        ["run-mst", "--gen", "mst-path", "--tau", "0.3", "--samples", "40",
+         "--kmax", "4", "--seed", "6"], tmp_path, "-O")

@@ -188,7 +188,7 @@ def test_profile_reduction_matches_detector(seq, root, lam):
 def test_montecarlo_good_counts_matches_fresh_detectors(n, pairs):
     """The sweep's table-driven shared-trial counts equal a direct replay of
     every trial's order through fresh detectors on the same draws."""
-    from streamscope.streams import _count_heads, _fisher_yates, split_seed
+    from streamscope.streams import _count_heads, split_seed
     from streamscope.verification import (_tree_good_profiles,
                                           montecarlo_good_counts)
 
@@ -201,7 +201,7 @@ def test_montecarlo_good_counts_matches_fresh_detectors(n, pairs):
     order = [(e.u, e.v) for e in g.edges]
     want = {(v, k): 0 for v in range(1, n + 1) for k in range(1, k_max + 1)}
     for _ in range(trials):
-        _fisher_yates(order, perm_rng)
+        perm_rng.shuffle(order)
         lam = _count_heads(len(order), tau, coin_rng)
         for v, k in want:
             if run_tree_detector(order, v, k, lam)[0] == GOOD:

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamscope import canonical, estimators
-from streamscope.canonical import (disc_code, materialize_disc,
+from streamscope.canonical import (DiscType, disc_code, materialize_disc,
                                    project_extended_disc)
 from streamscope.corpus import (mixed_components, random_connected_weighted,
                                random_graph, random_small_components,
                                weighted_path)
-from streamscope.detectors import GOOD, run_tree_detector
+from streamscope.detectors import (GOOD, DiscDetector, run_disc_detector,
+                                   run_tree_detector)
 from streamscope.errors import (AllEstimatesNonpositiveError, BadWError,
                                 EmptyVertexSetError, RadiusMismatchError,
                                 StreamscopeError, UnweightedStreamError)
-from streamscope.estimators import (EstimatorParams, NumCCRun,
+from streamscope.estimators import (EstimatorParams, NumCCRun, RootPass,
                                     cc_param_scales, disc_param_scales,
                                     disc_report_from_exact, gamma_disc,
                                     gamma_k, mis_estimate, mst_weight, num_cc,
@@ -89,8 +90,9 @@ def test_one_detector_per_root_matches_one_per_target_size(n, m, seed, tau,
     separate size-k detectors per root would."""
     g = random_graph(n, min(m, n * (n - 1) // 2), seed)
     stream = shuffle_stream(g, split_seed(seed, "permutation"))
-    run = NumCCRun(g.n, EstimatorParams(tau=tau, s=s, k_max=k_max, seed=seed))
-    for e, _t in stream:
+    run = NumCCRun(g.n, EstimatorParams(tau=tau, s=s, k_max=k_max, seed=seed),
+                   g.m)
+    for e in stream:
         run.feed(e.u, e.v)
     rep = run.finalize()
     order = [(e.u, e.v) for e in stream.edges]
@@ -121,7 +123,7 @@ def test_read_once_check_is_a_typed_error(estimate):
 
 def test_num_cc_slot_bound_is_a_typed_error():
     g = mixed_components(edges_=3)
-    run = NumCCRun(g.n, EstimatorParams(tau=0.3, s=3, k_max=2))
+    run = NumCCRun(g.n, EstimatorParams(tau=0.3, s=3, k_max=2), 0)
     run.grid.peak_slots = 3 * (2 + 1) + 1
     with pytest.raises(StreamscopeError, match="exceeded bound 9"):
         run.finalize()
@@ -362,18 +364,6 @@ def test_mst_instances_equal_num_cc_on_threshold_views():
         assert rep.threshold_reports[t].indicator_counts == direct.indicator_counts
 
 
-class _LengthUnknown:
-    """A stream that cannot tell its length before it is read, as a file
-    replayed line by line cannot."""
-
-    def __init__(self, stream):
-        self._stream = stream
-        self.weighted = stream.weighted
-
-    def __iter__(self):
-        return iter(self._stream)
-
-
 @st.composite
 def _weighted_graphs(draw):
     """A random simple graph on 1..10 vertices with W in 1..6 and weights
@@ -398,9 +388,8 @@ def test_mst_threshold_reports_equal_num_cc_on_views(graph_w, seed, tau, s,
     # Each threshold knows its view's length from the weight histogram, draws
     # Λ before the pass and cuts its grid there, exactly as num_cc on the
     # materialized view does; skipping a threshold whose grid watches
-    # neither endpoint changes nothing. Read without a known length, the
-    # view draws Λ after the pass and runs uncut: the same counts, and
-    # possibly more slots.
+    # neither endpoint changes nothing. num_cc itself is held to the uncut
+    # one-detector-per-(root, k) replay above.
     from streamscope.streams import threshold_view
 
     g, W = graph_w
@@ -416,29 +405,6 @@ def test_mst_threshold_reports_equal_num_cc_on_views(graph_w, seed, tau, s,
         assert got.to_json() == want.to_json()
         assert got.m_observed == want.m_observed
         assert got.peak_tree_slots == want.peak_tree_slots
-        uncut = num_cc(_LengthUnknown(view), g.n, sub)
-        assert got.per_k == uncut.per_k
-        assert got.indicator_counts == uncut.indicator_counts
-        assert got.peak_tree_slots <= uncut.peak_tree_slots
-
-
-@given(_weighted_graphs(), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([0.1, 0.3, 0.6]), st.integers(1, 12),
-       st.integers(1, 5))
-@settings(max_examples=150, deadline=None)
-def test_mst_weight_does_not_depend_on_a_known_length(graph_w, seed, tau, s,
-                                                      k_max):
-    # With the length known, each threshold cuts its grid at a Λ_t drawn
-    # before the pass; without it, Λ_t is drawn after and nothing is cut.
-    # The reports are the same bytes, and a cut grid never holds more.
-    g, W = graph_w
-    params = EstimatorParams(tau=tau, s=s, k_max=k_max, seed=seed)
-    stream = shuffle_stream(g, split_seed(seed, "permutation"))
-    cut = mst_weight(stream, g.n, W, params)
-    uncut = mst_weight(_LengthUnknown(stream), g.n, W, params)
-    assert cut.to_json() == uncut.to_json()
-    for t, rep in cut.threshold_reports.items():
-        assert rep.peak_tree_slots <= uncut.threshold_reports[t].peak_tree_slots
 
 
 @pytest.mark.parametrize("bad", [0, 10 ** 6 + 1])
@@ -455,20 +421,29 @@ def test_mst_weight_refuses_a_bad_weight_before_building_grids(bad):
 
 @given(st.integers(1, 10), st.integers(0, 45), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([0.1, 0.3, 0.6]), st.integers(1, 12),
-       st.integers(1, 5), st.integers(0, 3), st.integers(1, 3))
+       st.integers(0, 3), st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
-def test_reports_do_not_depend_on_a_known_length(n, m, seed, tau, s, k_max,
-                                                 k, d):
-    # With the length known, Λ is drawn before the pass and the grid retires
-    # late detectors; without it, Λ is drawn after. The reports are the same
-    # bytes.
+def test_num_disc_books_what_an_uncut_replay_per_root_books(n, m, seed, tau,
+                                                            s, k, d):
+    """num_disc's grid, cut at the Λ it draws before the pass, books exactly
+    the types that replaying each sampled root alone through an uncut disc
+    detector and finalizing it at the same Λ books."""
     g = random_graph(n, min(m, n * (n - 1) // 2), seed)
     stream = shuffle_stream(g, split_seed(seed, "permutation"))
-    params = EstimatorParams(tau=tau, s=s, k_max=k_max, seed=seed)
-    assert num_cc(stream, g.n, params).to_json() == \
-        num_cc(_LengthUnknown(stream), g.n, params).to_json()
-    assert num_disc(stream, g.n, k, d, params).to_json() == \
-        num_disc(_LengthUnknown(stream), g.n, k, d, params).to_json()
+    params = EstimatorParams(tau=tau, s=s, seed=seed)
+    rep = num_disc(stream, g.n, k, d, params)
+    run = RootPass(g.n, params, lambda v: DiscDetector(v, k, d), g.m)
+    run.read(stream)
+    order = [(e.u, e.v) for e in stream.edges]
+    want, witnesses = {}, {}
+    for v, weight in run.roots.items():
+        outcome = run_disc_detector(order, v, k, d, run.heads)[0]
+        if isinstance(outcome, DiscType):
+            want[outcome] = want.get(outcome, 0) + weight
+            witnesses.setdefault(outcome, []).append(v)
+    assert rep.indicator_counts == want
+    assert {dt: sorted(r) for dt, r in rep.witness_roots.items()} == \
+        {dt: sorted(r) for dt, r in witnesses.items()}
 
 
 def test_num_disc_triangle_indicators_match_enumeration():

@@ -10,8 +10,8 @@ from streamscope.errors import (BadWError, InvariantError, StreamscopeError,
 from streamscope.graphs import Graph, edge
 from streamscope.detectors import TreeDetector
 from streamscope.estimators import EstimatorParams, RootPass
-from streamscope.streams import (CountingStream, _count_heads, _fisher_yates,
-                                 shuffle_stream, split_seed, threshold_view)
+from streamscope.streams import (CountingStream, _count_heads, shuffle_stream,
+                                 split_seed, threshold_view)
 
 TRIANGLE = Graph(3, [edge(1, 2), edge(1, 3), edge(2, 3)])
 
@@ -27,7 +27,7 @@ def test_shuffle_deterministic_per_seed():
 
 def test_shuffle_single_edge_and_empty():
     single = Graph(2, [edge(1, 2)])
-    assert list(shuffle_stream(single, 7)) == [(edge(1, 2), 1)]
+    assert list(shuffle_stream(single, 7)) == [edge(1, 2)]
     empty = Graph(3, [])
     assert shuffle_stream(empty, 0).m == 0
 
@@ -75,18 +75,17 @@ def test_lambda_single_large_draw():
 
 def test_root_pass_heads_is_the_coin_count():
     # The estimators draw Λ with the routine the Λ-law tests above and the
-    # Monte-Carlo twins draw from, one coin per edge read, on the pass's
-    # "coins" child seed: before the pass when given the stream's length,
-    # where it also becomes the grid's cutoff, and after the pass otherwise.
+    # Monte-Carlo twins draw from, one coin per edge of the stream, on the
+    # pass's "coins" child seed, before the pass, where it also becomes the
+    # grid's cutoff.
     g = Graph(30, [edge(u, u + 1) for u in range(1, 30)])
     for seed, tau in ((3, 0.3), (8, 0.5)):
         params = EstimatorParams(tau=tau, s=10, k_max=3, seed=seed)
         want = _count_heads(g.m, tau, random.Random(split_seed(seed, "coins")))
-        for m, cutoff in ((g.m, want), (None, math.inf)):
-            rp = RootPass(g.n, params, lambda v: TreeDetector(v, 3), m)
-            assert rp.grid.cutoff == cutoff
-            rp.read(shuffle_stream(g, seed))
-            assert rp.t == g.m and rp.heads == want
+        rp = RootPass(g.n, params, lambda v: TreeDetector(v, 3), g.m)
+        assert rp.grid.cutoff == want
+        rp.read(shuffle_stream(g, seed))
+        assert rp.t == g.m and rp.heads == want
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -166,8 +165,15 @@ def test_counting_stream_refuses_a_short_pass():
 
 
 def test_time_steps_run_one_to_m():
+    # a stream yields bare edges; the pass that reads it numbers them 1..m
     s = shuffle_stream(TRIANGLE, 3)
-    assert [t for _, t in s] == [1, 2, 3]
+    assert list(s) == list(s.edges)
+    rp = RootPass(TRIANGLE.n, EstimatorParams(tau=0.5, s=3),
+                  lambda v: TreeDetector(v, 3), s.m)
+    fed = []
+    rp.grid.feed = lambda a, b, t: fed.append(((a, b), t))
+    rp.read(s)
+    assert fed == [((e.u, e.v), t) for t, e in enumerate(s.edges, start=1)]
 
 
 def test_threshold_view_rejects_when_w_is_one():
@@ -179,7 +185,7 @@ def test_threshold_view_rejects_when_w_is_one():
 def _randrange_fisher_yates(items, rng):
     # Reference draw: the explicit randrange Fisher-Yates loop. Every seeded
     # stream, report and check of the library was drawn with it, so
-    # _fisher_yates must permute exactly alike.
+    # Random.shuffle must permute exactly alike.
     for i in range(len(items) - 1, 0, -1):
         j = rng.randrange(i + 1)
         items[i], items[j] = items[j], items[i]
@@ -192,10 +198,10 @@ def test_fisher_yates_matches_the_randrange_loop(seed):
         want = list(range(length))
         _randrange_fisher_yates(want, random.Random(seed))
         got = list(range(length))
-        _fisher_yates(got, random.Random(seed))
+        random.Random(seed).shuffle(got)
         assert got == want, length
     # the generators end in the same state too, so later draws agree
     a, b = random.Random(seed), random.Random(seed)
     _randrange_fisher_yates(list(range(50)), a)
-    _fisher_yates(list(range(50)), b)
+    b.shuffle(list(range(50)))
     assert a.random() == b.random()
