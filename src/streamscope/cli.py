@@ -126,9 +126,15 @@ def _emit(args, text: str) -> None:
 
 
 def _stream_for(args, g: Graph) -> EdgeStream:
-    if args.stream_order == "given":
+    if args.stream_order == "shuffled":
+        return shuffle_stream(g, split_seed(args.seed, "permutation"))
+    if args.gen:
         return given_order_stream(g)
-    return shuffle_stream(g, split_seed(args.seed, "permutation"))
+    # the file's order: g stores its edges sorted, so parse the lines again
+    # (the load has already validated them)
+    with open(args.input, "rb") as fh:
+        lines = fh.read().decode("utf-8").splitlines()
+    return EdgeStream(EdgeLines(lines, g.n), weighted=g.weighted, W=g.W)
 
 
 def _params(args) -> EstimatorParams:

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from streamscope.cli import main
-from streamscope.corpus import cc_benchmark, weighted_path
-from streamscope.estimators import EstimatorParams, mst_weight, num_cc
+from streamscope.corpus import (cc_benchmark, random_small_components,
+                                weighted_path)
+from streamscope.estimators import (EstimatorParams, mis_estimate,
+                                    mst_weight, num_cc, num_disc)
 from streamscope.graphs import serialize_edge_list
-from streamscope.streams import given_order_stream, split_seed
+from streamscope.oracles import make_component_mis_oracle
+from streamscope.streams import EdgeStream, given_order_stream, split_seed
 
 
 @pytest.fixture
@@ -103,9 +106,10 @@ def test_run_cc_given_order_matches_the_materialized_stream(tmp_path):
 
 
 def test_run_mst_given_order_matches_the_materialized_stream(tmp_path):
-    # run-mst loads the whole graph, so --stream-order given streams the
-    # loaded edges in their stored order, which is the file's order:
-    # the same bytes as mst_weight over the graph's given-order stream.
+    # A canonical file lists its edges in the order the graph stores them,
+    # so run-mst's file-order stream is the graph's given-order stream: its
+    # length is known, each threshold cuts its grid, and the bytes are those
+    # of mst_weight over given_order_stream(g).
     g = weighted_path(n=60, heavy_every=3, W=3)
     path = tmp_path / "w.el"
     path.write_text(serialize_edge_list(g))
@@ -118,6 +122,54 @@ def test_run_mst_given_order_matches_the_materialized_stream(tmp_path):
                              seed=split_seed(5, "estimator"))
     want = mst_weight(given_order_stream(g), g.n, g.W, params).to_json()
     assert open(out).read() == want
+
+
+def _reversed_lines(g):
+    # every line out of canonical order: last edge first, larger label first
+    body = [f"{e.v} {e.u}" + ("" if e.w is None else f" {e.w}")
+            for e in reversed(g.edges)]
+    return "\n".join([f"n={g.n}", *body]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["run-cc", "run-mst", "run-disc",
+                                     "run-mis"])
+def test_given_order_streams_the_file_order(tmp_path, command):
+    # The graph stores its edges sorted; --stream-order given streams them
+    # in the file's order instead, whether the command replays the file
+    # (run-cc) or loads it first (the others)
+    if command == "run-mst":
+        g = weighted_path(n=60, heavy_every=3, W=3)
+    else:
+        g = random_small_components(120, 6, 7)
+    path = tmp_path / "g.el"
+    path.write_text(_reversed_lines(g))
+    out = str(tmp_path / "r.json")
+    argv = [command, "--input", str(path), "--tau", "0.3", "--samples", "60",
+            "--seed", "4", "--stream-order", "given", "--out", out]
+    argv += (["--kmax", "4"] if command in ("run-cc", "run-mst")
+             else ["--k", "1", "--d", "2"])
+    if command == "run-mis":
+        argv += ["--mis-samples", "50"]
+    assert main(argv) == 0
+    params = EstimatorParams(tau=0.3, s=60, k_max=4 if command in (
+        "run-cc", "run-mst") else 1, seed=split_seed(4, "estimator"))
+
+    def report(stream):
+        if command == "run-cc":
+            return num_cc(stream, g.n, params).to_json()
+        if command == "run-mst":
+            return mst_weight(stream, g.n, g.W, params).to_json()
+        disc = num_disc(stream, g.n, 1 + (command == "run-mis"), 2, params)
+        if command == "run-disc":
+            return disc.to_json()
+        return mis_estimate(disc, g.n, 2, 1, 50,
+                            make_component_mis_oracle(g, 20),
+                            seed=split_seed(4, "mis"),
+                            oracle_name="exact-component").to_json()
+
+    file_order = EdgeStream(reversed(g.edges), weighted=g.weighted, W=g.W)
+    assert open(out).read() == report(file_order)
+    assert report(file_order) != report(given_order_stream(g))
 
 
 def test_input_error_exit_3(tmp_path, capsys):
