@@ -193,9 +193,6 @@ class RootedDisc:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def radius(self) -> int:
-        return self.maxdep
-
     def recompute_depths(self) -> Dict[int, int]:
         """BFS distances to the root over the current disc."""
         dist = {self.root: 0}

@@ -17,7 +17,8 @@ from .corpus import (cc_benchmark, disc_benchmark, mixed_components,
                      padded_triangles, random_graph, random_small_components,
                      weighted_path)
 from .errors import (BadWeightError, BadWError, ComponentTooLargeError,
-                     MissingVertexCountError, StreamscopeError)
+                     MissingVertexCountError, StreamscopeError,
+                     VertexCountMismatchError)
 from .estimators import (EstimatorParams, cc_param_scales, disc_param_scales,
                          mis_estimate, mst_weight, num_cc, num_disc)
 from .graphs import (Edge, EdgeLines, Graph, load_edge_list,
@@ -209,6 +210,9 @@ def cmd_run_mis(args) -> int:
     if args.mis_samples < 1:
         raise ConfigError(f"--mis-samples must be >= 1, got "
                           f"{args.mis_samples}")
+    if args.mis_component_cap < 1:
+        raise ConfigError(f"--mis-component-cap must be >= 1, got "
+                          f"{args.mis_component_cap}")
     g = _load_graph(args)
     if args.exact:
         size, witness = exact_mis(g, args.mis_component_cap)
@@ -361,12 +365,13 @@ def main(argv=None) -> int:
     except (FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (ConfigError, VertexCountMismatchError, KeyError,
+            ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except StreamscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ class MissingVertexCountError(StreamscopeError):
     pass
 
 
+class VertexCountMismatchError(StreamscopeError):
+    pass
+
+
 class BadWeightError(StreamscopeError):
     pass
 

@@ -18,6 +18,7 @@ from .errors import (
     MissingVertexCountError,
     ParseError,
     SelfLoopError,
+    VertexCountMismatchError,
 )
 
 
@@ -142,7 +143,8 @@ class EdgeLines:
 
     Lines hold "u v" or "u v w" (whitespace separated); '#' starts a comment;
     an optional "n=<int>" line, allowed only as the first data line, sets
-    `n` when the caller gave none. All lines must agree on whether a weight
+    `n` when the caller gave none and must equal it otherwise
+    (VertexCountMismatchError). All lines must agree on whether a weight
     column is present. Labels must be >= 1, and <= n once n is known;
     weights must be >= 1; self loops are refused.
     """
@@ -171,6 +173,10 @@ class EdgeLines:
                                      f"bad n= header {line!r}") from None
                 if n is None:
                     n = self.n = n_header
+                elif n != n_header:
+                    raise VertexCountMismatchError(
+                        f"line {line_no}: n={n_header} header disagrees "
+                        f"with the given vertex count {n}")
                 continue
             parts = line.split()
             if len(parts) not in (2, 3):
@@ -205,9 +211,10 @@ def load_edge_list(text, n_override: Optional[int] = None,
     """Parse an edge-list document (see EdgeLines) into a validated Graph.
 
     The vertex count is n_override, else the n= header, else the maximum
-    label seen; with infer_n=False a document that names no n raises
-    MissingVertexCountError once its lines have parsed. Runs with the cyclic
-    collector paused: the edges and adjacency lists it builds are acyclic.
+    label seen; n_override and a header must agree. With infer_n=False a
+    document that names no n raises MissingVertexCountError once its lines
+    have parsed. Runs with the cyclic collector paused: the edges and
+    adjacency lists it builds are acyclic.
     """
     if hasattr(text, "read"):
         text = text.read()

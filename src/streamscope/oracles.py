@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .canonical import DiscType, bounded_disc_code, cano_disc, disc_code
-from .errors import (ComponentTooLargeError, DisconnectedError,
-                     InvariantError)
+from .errors import ComponentTooLargeError, DisconnectedError
 from .graphs import Graph, connected_components
 
 
@@ -78,97 +77,49 @@ def mst_identity_value(g: Graph) -> int:
     return g.n - W + sum(threshold_components(g, t) for t in range(1, W))
 
 
-def _component_subgraph(g: Graph, vertices: List[int]) -> Tuple[List[int], List[Tuple[int, int]]]:
-    """Sorted vertices and (u, w), u < w, edges of one whole component, in
-    g.edges order. Adjacency lists keep the work O(component), not O(m)."""
-    vs = sorted(vertices)
-    return vs, [(u, w) for u in vs for w in g.neighbors_sorted(u) if u < w]
-
-
-def _max_independent_sets(vertices: List[int], edges: List[Tuple[int, int]]):
-    """(alpha, lexicographically smallest maximum independent set)."""
-    adj = {v: set() for v in vertices}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    order = sorted(vertices)
-    n = len(order)
-
-    best_size = 0
+def _max_independent_sets(g: Graph, comp: List[int],
+                          size_cap: int) -> List[int]:
+    """Lexicographically smallest maximum independent set of one whole
+    component of g (its sorted vertex list); components above size_cap are
+    refused. The branch and bound tries each label, in increasing order, in
+    the set before out, so it meets maximum sets in lexicographic order. It
+    keeps strict gains only, and the path to the first maximum leaf always
+    has potential >= alpha > len(best), so that leaf is the witness.
+    """
+    if len(comp) > size_cap:
+        raise ComponentTooLargeError(
+            f"component of size {len(comp)} exceeds cap {size_cap}")
+    n = len(comp)
+    adj = [g.neighbors_sorted(v) for v in comp]
+    best: List[int] = []
 
     def search(i: int, chosen: List[int], blocked: set) -> None:
-        nonlocal best_size
-        if n - i + len(chosen) < best_size:
+        nonlocal best
+        if n - i + len(chosen) <= len(best):
             return
         if i == n:
-            if len(chosen) > best_size:
-                best_size = len(chosen)
+            best = chosen[:]
             return
-        v = order[i]
+        v = comp[i]
         if v not in blocked:
             chosen.append(v)
-            search(i + 1, chosen, blocked | adj[v])
+            search(i + 1, chosen, blocked.union(adj[i]))
             chosen.pop()
         search(i + 1, chosen, blocked)
 
     search(0, [], set())
     del search  # a self-recursive closure is a cycle until its cell is cleared
-
-    # Second pass: greedily commit the smallest labels that still extend to
-    # an optimum, which yields the lexicographically smallest witness.
-    def alpha_with(i: int, chosen_count: int, blocked: set) -> int:
-        best = chosen_count
-        rem = [v for v in order[i:] if v not in blocked]
-
-        def rec(vs: Tuple[int, ...], count: int, blk: frozenset) -> int:
-            nonlocal best
-            if count + len(vs) <= best:
-                return best
-            if not vs:
-                if count > best:
-                    best = count
-                return best
-            v = vs[0]
-            rest = vs[1:]
-            if v not in blk:
-                rec(tuple(w for w in rest if w not in adj[v] and w not in blk),
-                    count + 1, blk)
-            rec(tuple(w for w in rest if w not in blk), count, blk)
-            return best
-
-        rec(tuple(rem), chosen_count, frozenset(blocked))
-        del rec
-        return best
-
-    witness: List[int] = []
-    blocked: set = set()
-    for i, v in enumerate(order):
-        if v in blocked:
-            continue
-        if alpha_with(i + 1, len(witness) + 1, blocked | adj[v]) == best_size:
-            witness.append(v)
-            blocked |= adj[v]
-    if len(witness) != best_size:
-        raise InvariantError(f"witness of size {len(witness)} for an "
-                             f"independent set of size {best_size}")
-    return best_size, witness
+    return best
 
 
 def exact_mis(g: Graph, size_cap: int = 20) -> Tuple[int, List[int]]:
     """Exact maximum independent set size with the lexicographically smallest
     witness, component by component. Components above size_cap are refused.
     """
-    total = 0
     witness: List[int] = []
     for comp in connected_components(g):
-        if len(comp) > size_cap:
-            raise ComponentTooLargeError(
-                f"component of size {len(comp)} exceeds cap {size_cap}")
-        vs, es = _component_subgraph(g, comp)
-        size, wit = _max_independent_sets(vs, es)
-        total += size
-        witness.extend(wit)
-    return total, sorted(witness)
+        witness += _max_independent_sets(g, comp, size_cap)
+    return len(witness), sorted(witness)
 
 
 def make_component_mis_oracle(g: Graph, size_cap: int = 20):
@@ -176,25 +127,16 @@ def make_component_mis_oracle(g: Graph, size_cap: int = 20):
     lexicographically smallest maximum independent set of its own component
     in g. Deterministic per (component, root); local views are ignored.
     """
-    comp_of: Dict[int, int] = {}
     comps = connected_components(g)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     cache: Dict[int, set] = {}
 
     def oracle(local_view, root: int) -> bool:
         ci = comp_of[root]
         hit = cache.get(ci)
         if hit is None:
-            comp = comps[ci]
-            if len(comp) > size_cap:
-                raise ComponentTooLargeError(
-                    f"component of size {len(comp)} exceeds cap {size_cap}")
-            vs, es = _component_subgraph(g, comp)
-            _, wit = _max_independent_sets(vs, es)
-            hit = set(wit)
-            cache[ci] = hit
+            hit = cache[ci] = set(
+                _max_independent_sets(g, comps[ci], size_cap))
         return root in hit
 
     return oracle

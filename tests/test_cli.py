@@ -197,6 +197,27 @@ def test_given_order_stream_validates_lines(tmp_path, capsys, body):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, order", [("run-cc", "shuffled"),
+                                            ("run-cc", "given"),
+                                            ("run-mst", "shuffled")])
+def test_file_vertex_count_must_match(tmp_path, capsys, command, order):
+    # a --n that differs from the file's n= header is refused, whether the
+    # file is loaded or replayed; an equal --n is accepted
+    path = tmp_path / "g.el"
+    path.write_text("n=5\n1 2 1\n2 3 2\n" if command == "run-mst"
+                    else "n=5\n1 2\n2 3\n")
+    argv = [command, "--input", str(path), "--tau", "0.3", "--samples", "5",
+            "--kmax", "3", "--stream-order", order]
+    for n in ("3", "9"):
+        assert main(argv + ["--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: line 1: n=5 header disagrees")
+        assert err.endswith(f"count {n}\n")
+    assert main(argv + ["--n", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 5
+
+
 @pytest.mark.parametrize("n,rc", [("50", 2), ("3", 2), ("6", 0)])
 def test_gen_vertex_count_must_match(capsys, n, rc):
     # triangles:2 has 6 vertices; --n may repeat that count, not change it
@@ -575,6 +596,15 @@ def test_mis_samples_is_a_config_error(samples, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == f"error: --mis-samples must be >= 1, got {samples}\n"
+    # a component cap below 1 is refused the same way, with or without
+    # --exact: no component is that small
+    argv[-2:] = ["--mis-component-cap", samples]
+    for extra in ([], ["--exact"]):
+        rc = main(argv + extra)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == (f"error: --mis-component-cap must be >= 1, got "
+                       f"{samples}\n")
 
 
 def _python_m_streamscope(argv, *flags):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from streamscope.errors import (BadWeightError, DuplicateEdgeError,
                                 LabelOutOfRangeError, ParseError,
-                                SelfLoopError)
+                                SelfLoopError, VertexCountMismatchError)
 from streamscope.graphs import (Edge, Graph, edge, load_edge_list,
                                 serialize_edge_list, truncate_high_degree)
 
@@ -34,6 +34,12 @@ def test_load_duplicate_edge():
 def test_load_label_out_of_range():
     with pytest.raises(LabelOutOfRangeError):
         load_edge_list("1 5\n", n_override=3)
+
+
+def test_load_header_must_match_the_given_n():
+    with pytest.raises(VertexCountMismatchError, match="n=5 .* count 3"):
+        load_edge_list("n=5\n1 2\n", n_override=3)
+    assert load_edge_list("n=5\n1 2\n", n_override=5).n == 5
 
 
 def test_load_bad_weight():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamscope.canonical import cano_disc, disc_code
-from streamscope.corpus import mixed_components, weighted_path
+from streamscope.corpus import (all_graphs_up_to, mixed_components,
+                                weighted_path)
 from streamscope.errors import ComponentTooLargeError, DisconnectedError
 from streamscope.graphs import Graph, edge
 from streamscope.oracles import (exact_bounded_disc_freq, exact_cc_histogram,
@@ -103,6 +104,13 @@ def _brute_force_mis(g):
                 return size, list(subset)
 
 
+def _assert_matches_brute_force(g, cap):
+    size, witness = _brute_force_mis(g)
+    assert exact_mis(g, size_cap=cap) == (size, witness)
+    oracle = make_component_mis_oracle(g, cap)
+    assert [v for v in range(1, g.n + 1) if oracle(None, v)] == witness
+
+
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=12),
        st.lists(st.booleans(), min_size=66, max_size=66))
 @settings(max_examples=150, deadline=None)
@@ -114,10 +122,21 @@ def test_exact_mis_and_oracle_match_brute_force(groups, keep):
     pairs = itertools.combinations(range(1, n + 1), 2)
     g = Graph(n, [edge(u, v) for (u, v), bit in zip(pairs, keep)
                   if bit and groups[u - 1] == groups[v - 1]])
-    size, witness = _brute_force_mis(g)
-    assert exact_mis(g, size_cap=12) == (size, witness)
-    oracle = make_component_mis_oracle(g, 12)
-    assert [v for v in range(1, n + 1) if oracle(None, v)] == witness
+    _assert_matches_brute_force(g, 12)
+
+
+def test_exact_mis_and_oracle_match_brute_force_on_every_small_graph():
+    # Every isomorphism class up to 6 vertices, under 4 seeded relabelings
+    # each: the witness is the smallest in label order, so it moves with
+    # the labels.
+    rng = random.Random(6)
+    for h in all_graphs_up_to(6, 15):
+        for _ in range(4):
+            perm = list(range(1, h.n + 1))
+            rng.shuffle(perm)
+            _assert_matches_brute_force(
+                Graph(h.n, [edge(perm[e.u - 1], perm[e.v - 1])
+                            for e in h.edges]), 6)
 
 
 def test_component_oracle_refuses_a_drawn_component_above_cap():
