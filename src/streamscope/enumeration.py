@@ -147,7 +147,10 @@ def montecarlo_outcomes(g: Graph, root: int, k: int, d: Optional[int], tau,
 
     Each trial shuffles the edges and counts phase coins exactly as the
     stream generator does, from two independent child generators split off
-    the given seed, then replays the real detector.
+    the given seed, then replays the real detector. The outcome depends on
+    the draw (order, threshold) alone, so each distinct draw is replayed
+    once and its outcome reused; the memo holds at most
+    min(trials, m!·(m+1)) draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -156,10 +159,15 @@ def montecarlo_outcomes(g: Graph, root: int, k: int, d: Optional[int], tau,
     edges = _edge_pairs(g)
     m = len(edges)
     counts: Dict[OutcomeKey, int] = {}
+    outcome_of: Dict[Tuple[tuple, int], OutcomeKey] = {}
     for _ in range(trials):
         perm_rng.shuffle(edges)
         lam = _count_heads(m, tau, coin_rng)
-        key = _replay(_detector(root, k, d), edges, lam)[0]
+        draw = (tuple(edges), lam)
+        key = outcome_of.get(draw)
+        if key is None:
+            key = outcome_of[draw] = _replay(_detector(root, k, d), edges,
+                                             lam)[0]
         counts[key] = counts.get(key, 0) + 1
     dist = {key: Fraction(c, trials) for key, c in counts.items()}
     return OutcomeDistribution(dist, trials=trials)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -55,11 +57,26 @@ def edge(u: int, v: int, w: Optional[int] = None) -> Edge:
     return Edge(u, v, w)
 
 
+_third = itemgetter(2)
+
+
 class Graph:
     """Simple undirected graph on vertex set [1..n], optionally weighted.
 
     Edges are stored in canonical order (smaller endpoint first, sorted by
     endpoint pair) so every seeded downstream computation is reproducible.
+
+    The build checks every caller's edges and pays once per edge. It
+    normalizes them, checking that each has a weight exactly when the graph
+    is weighted, and sorts them. Copies of a pair then sit next to each
+    other, so the one pass that fills a list per vertex also finds
+    duplicates. The labels are checked once, through the smallest on the
+    sorted list and the largest vertex with a neighbour, and the weights
+    once, through the weight column's minimum and maximum. When the edges
+    hold several faults, the first refused is, in this order: the first
+    edge in the caller's order that is a self loop or has a missing or
+    unexpected weight, a duplicate, a label above n, a label below 1, a
+    weight outside [1..W].
     """
 
     __slots__ = ("n", "edges", "weighted", "W", "_adj")
@@ -68,49 +85,63 @@ class Graph:
                  W: Optional[int] = None):
         if n < 0:
             raise LabelOutOfRangeError("n must be >= 0")
-        seen = set()
-        normalized = []
+        es = []
+        add = es.append
         for e in edges:
             # EdgeLines already yields normalized Edges; anything else,
             # including a self loop, goes through edge()'s checks
-            if type(e) is not Edge or e.u >= e.v:
+            if type(e) is not Edge or e[0] >= e[1]:
                 e = edge(e.u, e.v, e.w)
-            if (e.u, e.v) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({e.u}, {e.v})")
-            seen.add((e.u, e.v))
-            if e.v > n:
-                raise LabelOutOfRangeError(f"label {e.v} > n={n}")
-            if e.u < 1:
-                raise LabelOutOfRangeError(f"label {e.u} < 1")
-            if weighted:
-                if e.w is None:
-                    raise BadWeightError(f"edge ({e.u},{e.v}) missing weight")
-            elif e.w is not None:
-                raise BadWeightError(f"edge ({e.u},{e.v}) has weight on unweighted graph")
-            normalized.append(e)
-        # (u, v) pairs are unique here, so tuple order is (u, v) order
-        normalized.sort()
+            if (e[2] is None) == weighted:
+                raise BadWeightError(
+                    f"edge ({e.u},{e.v}) missing weight" if weighted else
+                    f"edge ({e.u},{e.v}) has weight on unweighted graph")
+            add(e)
+        # the weights are all None or all set, so the sort only compares
+        # them between copies of one pair
+        es.sort()
+        adj = {}
+        get = adj.get
+        for u, v, _ in es:
+            nbrs = get(u)
+            if nbrs is None:
+                adj[u] = [v]
+            elif nbrs[-1] == v:
+                # copies of a pair are adjacent in (u, v) order, and only
+                # the pair (u, v) appends v to u's list
+                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+            else:
+                nbrs.append(v)
+            nbrs = get(v)
+            if nbrs is None:
+                adj[v] = [u]
+            else:
+                nbrs.append(u)
+        if es:
+            top = max(adj)
+            if top > n:
+                raise LabelOutOfRangeError(f"label {top} > n={n}")
+            if es[0].u < 1:
+                raise LabelOutOfRangeError(f"label {es[0].u} < 1")
         if weighted:
-            max_w = max((e.w for e in normalized), default=1)
+            ws = list(map(_third, es))
             if W is None:
-                W = max_w
-            for e in normalized:
-                if not 1 <= e.w <= W:
-                    raise BadWeightError(
-                        f"weight {e.w} of edge ({e.u},{e.v}) outside [1..{W}]")
+                W = max(ws, default=1)
+            if es and not 1 <= min(ws) <= max(ws) <= W:
+                e = next(e for e in es if not 1 <= e.w <= W)
+                raise BadWeightError(
+                    f"weight {e.w} of edge ({e.u},{e.v}) outside [1..{W}]")
         else:
             W = None
-        self.n = n
-        self.edges = tuple(normalized)
-        self.weighted = weighted
-        self.W = W
-        adj = {}
-        for e in self.edges:
-            adj.setdefault(e.u, []).append(e.v)
-            adj.setdefault(e.v, []).append(e.u)
         # In (u, v) order a vertex meets its smaller neighbours first, in
         # increasing order, then its larger ones: each list is sorted.
-        self._adj = {v: tuple(nbrs) for v, nbrs in adj.items()}
+        for v, nbrs in adj.items():
+            adj[v] = tuple(nbrs)
+        self.n = n
+        self.edges = tuple(es)
+        self.weighted = weighted
+        self.W = W
+        self._adj = adj
 
     @property
     def m(self) -> int:
@@ -137,71 +168,120 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
+def _parse_line(line_no: int, raw: str, width: Optional[int],
+                n: Optional[int]) -> Edge:
+    """The edge on one data line whose comment is cut, with every check of
+    EdgeLines in its order; raises the line's first fault. width is the
+    field count of the document's edge lines, None before the first."""
+    line = raw.strip()
+    if line.startswith("n="):
+        raise ParseError(line_no, "n= header must be the first data line")
+    fields = line.split()
+    if len(fields) not in (2, 3):
+        raise ParseError(line_no,
+                         f"expected 2 or 3 fields, got {len(fields)}")
+    try:
+        # int() alone also reads digit-group underscores and non-ASCII digits
+        if "_" in line or not "".join(fields).isascii():
+            raise ValueError
+        nums = [int(f) for f in fields]
+    except ValueError:
+        raise ParseError(line_no,
+                         f"non-integer field in {line!r}") from None
+    if width is not None and len(nums) != width:
+        raise ParseError(line_no, "mixed weighted and unweighted lines")
+    u, v = nums[0], nums[1]
+    if u < 1 or v < 1:
+        raise ParseError(line_no, f"labels must be >= 1 in {line!r}")
+    if n is not None and (u > n or v > n):
+        raise LabelOutOfRangeError(
+            f"line {line_no}: label {max(u, v)} > n={n}")
+    w = nums[2] if len(nums) == 3 else None
+    if w is not None and w < 1:
+        raise BadWeightError(f"line {line_no}: weight {w} < 1")
+    return edge(u, v, w)
+
+
 class EdgeLines:
     """One pass over the lines of an edge-list document, yielding normalized
     edges and holding one line at a time.
 
-    Lines hold "u v" or "u v w" (whitespace separated); '#' starts a comment;
-    an optional "n=<int>" line, allowed only as the first data line, sets
-    `n` when the caller gave none and must equal it otherwise
-    (VertexCountMismatchError). All lines must agree on whether a weight
-    column is present. Labels must be >= 1, and <= n once n is known;
-    weights must be >= 1; self loops are refused.
+    Lines hold "u v" or "u v w" (whitespace separated), each field an ASCII
+    decimal integer with an optional sign; '#' starts a comment; an optional
+    "n=<int>" line, allowed only as the first data line, sets `n` when the
+    caller gave none and must equal it otherwise (VertexCountMismatchError).
+    All lines must agree on whether a weight column is present. Labels must
+    be >= 1, and <= n once n is known; weights must be >= 1; self loops are
+    refused. A line with several faults is refused for the first in this
+    order: a misplaced header, the field count, a non-integer field, a
+    mixed weight column, then the rest as listed.
+
+    Each line is split once, its fields go to int() directly, and its
+    normalized Edge is built in place. The header, the first edge line and
+    any line that stands out (its field count, a character, a value out of
+    range) take the checked path (`_parse_line`), which refuses the line or
+    reads it the same way.
     """
 
     def __init__(self, lines: Iterable[str], n: Optional[int] = None):
         self.lines = lines
         self.n = n
 
+    def _read_header(self, line_no: int, line: str,
+                     n: Optional[int]) -> int:
+        """The vertex count after the header line `line`."""
+        value = line[2:]
+        try:
+            n_header = int(value)
+        except ValueError:
+            raise ParseError(line_no, f"bad n= header {line!r}") from None
+        if "_" in value or not value.strip().isascii():
+            raise ParseError(line_no, f"non-integer field in {line!r}")
+        if n is None:
+            self.n = n_header
+        elif n != n_header:
+            raise VertexCountMismatchError(
+                f"line {line_no}: n={n_header} header disagrees with the "
+                f"given vertex count {n}")
+        return n_header
+
     def __iter__(self) -> Iterator[Edge]:
-        weighted = n_header = None
         n = self.n
+        top = math.inf if n is None else n
+        width = None    # the field count of the edge lines, once one is read
+        header = False
+        new_edge = tuple.__new__  # Edge() would add a Python-level call
         for line_no, raw in enumerate(self.lines, start=1):
             if "#" in raw:
                 raw = raw.split("#", 1)[0]
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("n="):
-                if weighted is not None or n_header is not None:
-                    raise ParseError(line_no, "n= header must be the first "
-                                              "data line")
+            fields = raw.split()
+            if len(fields) == width and "_" not in raw and raw.isascii():
                 try:
-                    n_header = int(line[2:])
+                    u = int(fields[0])
+                    v = int(fields[1])
+                    w = int(fields[2]) if width == 3 else None
                 except ValueError:
-                    raise ParseError(line_no,
-                                     f"bad n= header {line!r}") from None
-                if n is None:
-                    n = self.n = n_header
-                elif n != n_header:
-                    raise VertexCountMismatchError(
-                        f"line {line_no}: n={n_header} header disagrees "
-                        f"with the given vertex count {n}")
+                    pass
+                else:
+                    if u > v:
+                        u, v = v, u
+                    if 0 < u < v <= top and (w is None or w > 0):
+                        yield new_edge(Edge, (u, v, w))
+                        continue
+            elif not fields:
                 continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(line_no,
-                                 f"expected 2 or 3 fields, got {len(parts)}")
-            try:
-                nums = list(map(int, parts))
-            except ValueError:
-                raise ParseError(line_no,
-                                 f"non-integer field in {line!r}") from None
-            has_w = len(nums) == 3
-            if weighted is None:
-                weighted = has_w
-            elif weighted != has_w:
-                raise ParseError(line_no,
-                                 "mixed weighted and unweighted lines")
-            u, v = nums[0], nums[1]
-            if u < 1 or v < 1:
-                raise ParseError(line_no, f"labels must be >= 1 in {line!r}")
-            if n is not None and (u > n or v > n):
-                raise LabelOutOfRangeError(
-                    f"line {line_no}: label {max(u, v)} > n={n}")
-            if has_w and nums[2] < 1:
-                raise BadWeightError(f"line {line_no}: weight {nums[2]} < 1")
-            yield edge(u, v, nums[2] if has_w else None)
+            elif width is None:
+                if not header and fields[0].startswith("n="):
+                    n = top = self._read_header(line_no, raw.strip(), n)
+                    header = True
+                    continue
+                first = _parse_line(line_no, raw, None, n)
+                width = 2 if first.w is None else 3
+                yield first
+                continue
+            # a faulty line, a late header, or fields spaced by non-ASCII
+            # whitespace
+            yield _parse_line(line_no, raw, width, n)
 
 
 @_without_cycle_collection

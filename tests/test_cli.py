@@ -8,11 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from streamscope.cli import main
+from streamscope.errors import (BadWeightError, DuplicateEdgeError,
+                                LabelOutOfRangeError, ParseError,
+                                SelfLoopError, VertexCountMismatchError)
 from streamscope.corpus import (cc_benchmark, random_small_components,
                                 weighted_path)
 from streamscope.estimators import (EstimatorParams, mis_estimate,
                                     mst_weight, num_cc, num_disc)
-from streamscope.graphs import serialize_edge_list
+from streamscope.graphs import load_edge_list, serialize_edge_list
 from streamscope.oracles import make_component_mis_oracle
 from streamscope.streams import EdgeStream, given_order_stream, split_seed
 
@@ -195,6 +198,81 @@ def test_given_order_stream_validates_lines(tmp_path, capsys, body):
     assert rc == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body", ["1 2\n1 2_0\n", "1 2\n1 \u0663\n",
+                                  "n=1_0\n1 2\n"],
+                         ids=["underscore", "arabic-indic", "header"])
+def test_given_order_refuses_malformed_integers(tmp_path, capsys, body):
+    # int() would read "2_0" as 20 and an Arabic-Indic digit as 3
+    path = tmp_path / "bad.el"
+    path.write_bytes(body.encode("utf-8"))
+    rc = main(["run-cc", "--input", str(path), "--n", "10", "--tau", "0.3",
+               "--samples", "4", "--kmax", "2", "--stream-order", "given"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: line ") and "non-integer field in" in err
+    assert err.count("\n") == 1
+
+
+# One document per fault the load layer refuses, with the error it must
+# raise; "header-vs-n" is read with a given vertex count of 5.
+_REFUSALS = {
+    "field-count": ("n=6\n1 2\n3\n", ParseError,
+                    "line 3: expected 2 or 3 fields, got 1"),
+    "non-integer": ("n=6\n1 2\n1 x\n", ParseError,
+                    "line 3: non-integer field in '1 x'"),
+    "mixed-weights": ("n=6\n1 2\n2 3 5\n", ParseError,
+                      "line 3: mixed weighted and unweighted lines"),
+    "label-zero": ("n=6\n1 2\n0 3\n", ParseError,
+                   "line 3: labels must be >= 1 in '0 3'"),
+    "label-above-n": ("n=6\n1 2\n3 9\n", LabelOutOfRangeError,
+                      "line 3: label 9 > n=6"),
+    "weight-zero": ("n=6\n1 2 1\n2 3 0\n", BadWeightError,
+                    "line 3: weight 0 < 1"),
+    "self-loop": ("n=6\n1 2\n3 3\n", SelfLoopError, "self loop at 3"),
+    "duplicate": ("n=6\n1 2\n2 1\n", DuplicateEdgeError,
+                  "duplicate edge (1, 2)"),
+    "late-header": ("1 2\nn=6\n", ParseError,
+                    "line 2: n= header must be the first data line"),
+    "header-vs-n": ("n=6\n1 2\n", VertexCountMismatchError,
+                    "line 1: n=6 header disagrees with the given vertex "
+                    "count 5"),
+}
+_EXIT = {ParseError: 3, LabelOutOfRangeError: 3, SelfLoopError: 3,
+         DuplicateEdgeError: 3, BadWeightError: 4,
+         VertexCountMismatchError: 2}
+
+
+@pytest.mark.parametrize("kind, command, order", [
+    (kind, command, order) for kind in sorted(_REFUSALS)
+    for command, order in (("run-cc", "shuffled"), ("run-cc", "given"),
+                           ("run-disc", "given"))
+    # run-cc's file replay holds one line at a time, so it cannot see a
+    # duplicate (README, --stream-order given)
+    if (kind, command, order) != ("duplicate", "run-cc", "given")])
+def test_every_load_path_refuses_alike(tmp_path, capsys, kind, command,
+                                       order):
+    """Each fault gives the same error type, message and exit code through
+    load_edge_list, a loaded run (run-cc shuffled, and run-disc, which
+    loads the file before it replays it in file order) and run-cc's file
+    replay."""
+    text, error, message = _REFUSALS[kind]
+    n = 5 if kind == "header-vs-n" else None
+    with pytest.raises(error) as exc:
+        load_edge_list(text, n_override=n)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.el"
+    path.write_text(text)
+    argv = [command, "--input", str(path), "--tau", "0.3", "--samples", "4",
+            "--stream-order", order]
+    argv += ["--kmax", "2"] if command == "run-cc" else ["--k", "1",
+                                                         "--d", "2"]
+    if n is not None:
+        argv += ["--n", str(n)]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (_EXIT[error], "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command, order", [("run-cc", "shuffled"),

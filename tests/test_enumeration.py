@@ -97,6 +97,33 @@ def test_montecarlo_deterministic_per_seed():
     assert a.exact == b.exact
 
 
+@pytest.mark.parametrize("g, root, k, d", [
+    (TRIANGLE, 1, 3, None), (P4, 2, 3, None), (P4, 1, 2, 2),
+    (Graph(5, [edge(1, 2), edge(1, 3), edge(2, 4), edge(3, 4), edge(4, 5)]),
+     4, 1, 2)])
+def test_montecarlo_counts_every_trial(g, root, k, d):
+    """Each distinct draw is replayed once; the counts equal those of a
+    fresh replay on every trial, drawn from the same generators."""
+    import random
+
+    from streamscope.detectors import DiscDetector, TreeDetector, _replay
+    from streamscope.streams import _count_heads, split_seed
+
+    trials, seed, tau = 3000, 23, 0.4
+    perm_rng = random.Random(split_seed(seed, "permutation"))
+    coin_rng = random.Random(split_seed(seed, "coins"))
+    edges = [(e.u, e.v) for e in g.edges]
+    counts = {}
+    for _ in range(trials):
+        perm_rng.shuffle(edges)
+        lam = _count_heads(len(edges), tau, coin_rng)
+        det = TreeDetector(root, k) if d is None else DiscDetector(root, k, d)
+        key = _replay(det, edges, lam)[0]
+        counts[key] = counts.get(key, 0) + 1
+    mc = montecarlo_outcomes(g, root, k, d, tau, trials, seed)
+    assert mc.exact == {key: Fraction(c, trials) for key, c in counts.items()}
+
+
 def test_disc_enumeration_triangle():
     # Full-triangle collection at k=1 happens only in the canonical order,
     # entirely in phase: exactly tau^3/6 = the fixed-order collection rate.
