@@ -208,12 +208,6 @@ class RootedDisc:
         return dist
 
 
-def disc_has_room(f: RootedDisc, u: int) -> bool:
-    """May collected vertex u attach a new vertex? Only while the new
-    vertex stays within radius k and u's collected degree within d+1."""
-    return f.dep[u] < f.k and len(f.adj[u]) <= f.d
-
-
 def disc_update(f: RootedDisc, a: int, b: int) -> Union[str, int]:
     """Apply one arriving edge under the extended-disc collection rule.
 
@@ -223,8 +217,9 @@ def disc_update(f: RootedDisc, a: int, b: int) -> Union[str, int]:
     The violating test of classify_edge runs first; then an edge joining two
     collected vertices is always kept (it cannot move any depth once the gap
     test passed, and it cannot add a vertex, so the space bound is
-    unaffected), while an edge reaching a new vertex is kept only when
-    disc_has_room allows it.
+    unaffected), while an edge reaching a new vertex is kept only when the
+    radius stays within k and the collected degree of the attachment point
+    stays within d+1.
 
     Only new-vertex attachments record an anchored target, exactly as tree
     collection records children: a closing edge between collected vertices
@@ -242,9 +237,9 @@ def disc_update(f: RootedDisc, a: int, b: int) -> Union[str, int]:
         f.adj[w].add(u)
         f.edges.add((u, w) if u < w else (w, u))
         return "accepted"
-    if not disc_has_room(f, u):
-        return "ignored"
     du = f.dep[u]
+    if du + 1 > f.k or len(f.adj[u]) + 1 > f.d + 1:
+        return "ignored"
     f.dep[w] = du + 1
     f.adj[w] = {u}
     f.adj[u].add(w)

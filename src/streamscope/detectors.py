@@ -5,8 +5,8 @@ order, and only the time step of its last accepted edge is compared against
 the phase threshold at finalize time. Bad is absorbing, and a dead
 detector's memory is released from the dispatch index immediately. The
 estimators draw the threshold before the pass, so the grid retires a
-detector as late the moment it would accept an edge after it: that detector
-can no longer finish Good.
+detector as late the moment it accepts an edge after it: that detector can
+no longer finish Good.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from . import canonical
-from .canonical import (INSIDE, NEW_VERTEX, VIOLATING, RootedDisc, RootedTree,
-                        classify_edge, disc_code, disc_has_room)
+from .canonical import RootedDisc, RootedTree, disc_code
 from .errors import InvalidKError, OutOfOrderTimeStepError
 
 GOOD = "good"
@@ -69,25 +68,6 @@ class TreeDetector:
             self.status = DEAD
             self.reason = BAD_VIOLATING
         return None
-
-    def retire(self, a: int, b: int, t: int) -> None:
-        """Feed one edge that arrives past the phase threshold, where this
-        detector can no longer finish Good: it dies for the reason update
-        would record and collects nothing. An edge that would attach a
-        vertex records large when the tree would outgrow k, else late."""
-        if t <= self.t_seen:
-            raise OutOfOrderTimeStepError(f"time step {t} after {self.t_seen}")
-        if self.status != ACTIVE:
-            return
-        tree = self.tree
-        kind = classify_edge(tree.dep, tree.maxdep, tree.children_max,
-                             a, b)[0]
-        if kind == NEW_VERTEX:
-            self.status = DEAD
-            self.reason = BAD_LARGE if tree.size >= self.k else BAD_LATE
-        elif kind == VIOLATING:
-            self.status = DEAD
-            self.reason = BAD_VIOLATING
 
     def finalize(self, lam: int) -> str:
         if self.status == DEAD:
@@ -144,24 +124,6 @@ class DiscDetector:
             self.reason = BAD_VIOLATING
         return None
 
-    def retire(self, a: int, b: int, t: int) -> None:
-        """TreeDetector.retire for discs: an edge update would keep (an
-        inside edge, or a new vertex within the budget) records late."""
-        if t <= self.t_seen:
-            raise OutOfOrderTimeStepError(f"time step {t} after {self.t_seen}")
-        if self.status != ACTIVE or self.k == 0:
-            return
-        disc = self.disc
-        kind, u, _ = classify_edge(disc.dep, disc.maxdep, disc.anchored_max,
-                                   a, b)
-        if kind == VIOLATING:
-            self.status = DEAD
-            self.reason = BAD_VIOLATING
-        elif kind == INSIDE or (kind == NEW_VERTEX
-                                and disc_has_room(disc, u)):
-            self.status = DEAD
-            self.reason = BAD_LATE
-
     def finalize(self, lam: int):
         """DiscType when collection finished in phase, else a Bad marker."""
         if self.status == DEAD:
@@ -183,12 +145,10 @@ class DetectorGrid:
     results are identical to feeding every edge to every detector
     sequentially.
 
-    A finite cutoff is the phase threshold drawn before the pass. Past it
-    the grid calls `retire`, not `update`: a live detector that would
-    accept the edge dies at once as BAD_LATE (BAD_LARGE if it would outgrow
-    its target size), since its last-accept time would exceed the
-    threshold and finalize would be Bad anyway. retire collects nothing, so
-    no slot is taken past the cutoff. Every Good outcome and its
+    A finite cutoff is the phase threshold drawn before the pass. A live
+    detector that accepts an edge at a time step past it dies at once as
+    BAD_LATE: its last-accept time already exceeds the threshold, so
+    finalize there would be Bad anyway. Every Good outcome and its
     last-accept time stay as without the cutoff; only the reason a Bad
     detector records can change (late where a later edge would have found
     it violating or small).
@@ -230,21 +190,20 @@ class DetectorGrid:
         # only add the other endpoint, so the bucket iterated is not changed.
         detectors = self.detectors
         members = self._members
-        retiring = t > self.cutoff
+        late = t > self.cutoff
         dead = None
         for i in hit:
             det = detectors[i]
-            if retiring:
-                # past the threshold an edge can only retire a detector
-                det.retire(a, b, t)
-            else:
-                added = det.update(a, b, t)
-                if added is not None:
-                    index.setdefault(added, set()).add(i)
-                    members[i].append(added)
-                    self._slots += 1
-                    if self._slots > self.peak_slots:
-                        self.peak_slots = self._slots
+            added = det.update(a, b, t)
+            if late and det.t_last == t and det.status == ACTIVE:
+                det.status = DEAD
+                det.reason = BAD_LATE
+            elif added is not None:
+                index.setdefault(added, set()).add(i)
+                members[i].append(added)
+                self._slots += 1
+                if self._slots > self.peak_slots:
+                    self.peak_slots = self._slots
             if det.status == DEAD:
                 if dead is None:
                     dead = []

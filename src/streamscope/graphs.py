@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import gc
 import math
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -57,9 +56,6 @@ def edge(u: int, v: int, w: Optional[int] = None) -> Edge:
     return Edge(u, v, w)
 
 
-_third = itemgetter(2)
-
-
 class Graph:
     """Simple undirected graph on vertex set [1..n], optionally weighted.
 
@@ -72,7 +68,7 @@ class Graph:
     other, so the one pass that fills a list per vertex also finds
     duplicates. The labels are checked once, through the smallest on the
     sorted list and the largest vertex with a neighbour, and the weights
-    once, through the weight column's minimum and maximum. When the edges
+    once, in one loop over the sorted edges. When the edges
     hold several faults, the first refused is, in this order: the first
     edge in the caller's order that is a self loop or has a missing or
     unexpected weight, a duplicate, a label above n, a label below 1, a
@@ -124,13 +120,12 @@ class Graph:
             if es[0].u < 1:
                 raise LabelOutOfRangeError(f"label {es[0].u} < 1")
         if weighted:
-            ws = list(map(_third, es))
             if W is None:
-                W = max(ws, default=1)
-            if es and not 1 <= min(ws) <= max(ws) <= W:
-                e = next(e for e in es if not 1 <= e.w <= W)
-                raise BadWeightError(
-                    f"weight {e.w} of edge ({e.u},{e.v}) outside [1..{W}]")
+                W = max((e.w for e in es), default=1)
+            for e in es:
+                if not 1 <= e.w <= W:
+                    raise BadWeightError(
+                        f"weight {e.w} of edge ({e.u},{e.v}) outside [1..{W}]")
         else:
             W = None
         # In (u, v) order a vertex meets its smaller neighbours first, in
@@ -168,40 +163,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-def _parse_line(line_no: int, raw: str, width: Optional[int],
-                n: Optional[int]) -> Edge:
-    """The edge on one data line whose comment is cut, with every check of
-    EdgeLines in its order; raises the line's first fault. width is the
-    field count of the document's edge lines, None before the first."""
-    line = raw.strip()
-    if line.startswith("n="):
-        raise ParseError(line_no, "n= header must be the first data line")
-    fields = line.split()
-    if len(fields) not in (2, 3):
-        raise ParseError(line_no,
-                         f"expected 2 or 3 fields, got {len(fields)}")
-    try:
-        # int() alone also reads digit-group underscores and non-ASCII digits
-        if "_" in line or not "".join(fields).isascii():
-            raise ValueError
-        nums = [int(f) for f in fields]
-    except ValueError:
-        raise ParseError(line_no,
-                         f"non-integer field in {line!r}") from None
-    if width is not None and len(nums) != width:
-        raise ParseError(line_no, "mixed weighted and unweighted lines")
-    u, v = nums[0], nums[1]
-    if u < 1 or v < 1:
-        raise ParseError(line_no, f"labels must be >= 1 in {line!r}")
-    if n is not None and (u > n or v > n):
-        raise LabelOutOfRangeError(
-            f"line {line_no}: label {max(u, v)} > n={n}")
-    w = nums[2] if len(nums) == 3 else None
-    if w is not None and w < 1:
-        raise BadWeightError(f"line {line_no}: weight {w} < 1")
-    return edge(u, v, w)
-
-
 class EdgeLines:
     """One pass over the lines of an edge-list document, yielding normalized
     edges and holding one line at a time.
@@ -216,72 +177,89 @@ class EdgeLines:
     order: a misplaced header, the field count, a non-integer field, a
     mixed weight column, then the rest as listed.
 
-    Each line is split once, its fields go to int() directly, and its
-    normalized Edge is built in place. The header, the first edge line and
-    any line that stands out (its field count, a character, a value out of
-    range) take the checked path (`_parse_line`), which refuses the line or
-    reads it the same way.
+    One loop reads every line: it splits the line once, sends the fields
+    to int() directly, runs each check above once and builds the normalized
+    Edge in place.
     """
 
     def __init__(self, lines: Iterable[str], n: Optional[int] = None):
         self.lines = lines
         self.n = n
 
-    def _read_header(self, line_no: int, line: str,
-                     n: Optional[int]) -> int:
-        """The vertex count after the header line `line`."""
-        value = line[2:]
-        try:
-            n_header = int(value)
-        except ValueError:
-            raise ParseError(line_no, f"bad n= header {line!r}") from None
-        if "_" in value or not value.strip().isascii():
-            raise ParseError(line_no, f"non-integer field in {line!r}")
-        if n is None:
-            self.n = n_header
-        elif n != n_header:
-            raise VertexCountMismatchError(
-                f"line {line_no}: n={n_header} header disagrees with the "
-                f"given vertex count {n}")
-        return n_header
-
     def __iter__(self) -> Iterator[Edge]:
         n = self.n
         top = math.inf if n is None else n
         width = None    # the field count of the edge lines, once one is read
-        header = False
+        first = True    # no data line read yet, so a header may come
         new_edge = tuple.__new__  # Edge() would add a Python-level call
         for line_no, raw in enumerate(self.lines, start=1):
             if "#" in raw:
                 raw = raw.split("#", 1)[0]
             fields = raw.split()
-            if len(fields) == width and "_" not in raw and raw.isascii():
-                try:
-                    u = int(fields[0])
-                    v = int(fields[1])
-                    w = int(fields[2]) if width == 3 else None
-                except ValueError:
-                    pass
-                else:
-                    if u > v:
-                        u, v = v, u
-                    if 0 < u < v <= top and (w is None or w > 0):
-                        yield new_edge(Edge, (u, v, w))
-                        continue
-            elif not fields:
+            if not fields:
                 continue
-            elif width is None:
-                if not header and fields[0].startswith("n="):
-                    n = top = self._read_header(line_no, raw.strip(), n)
-                    header = True
+            if first:
+                first = False
+                if fields[0].startswith("n="):
+                    line = raw.strip()
+                    value = line[2:]
+                    try:
+                        n_header = int(value)
+                    except ValueError:
+                        raise ParseError(line_no,
+                                         f"bad n= header {line!r}") from None
+                    if "_" in value or not value.strip().isascii():
+                        raise ParseError(line_no,
+                                         f"non-integer field in {line!r}")
+                    if n is None:
+                        n = self.n = n_header
+                    elif n != n_header:
+                        raise VertexCountMismatchError(
+                            f"line {line_no}: n={n_header} header disagrees "
+                            f"with the given vertex count {n}")
+                    top = n
                     continue
-                first = _parse_line(line_no, raw, None, n)
-                width = 2 if first.w is None else 3
-                yield first
-                continue
-            # a faulty line, a late header, or fields spaced by non-ASCII
-            # whitespace
-            yield _parse_line(line_no, raw, width, n)
+            k = len(fields)
+            try:
+                # int() alone also reads digit-group underscores and
+                # non-ASCII digits; the join runs only when the line holds a
+                # non-ASCII character, which may be whitespace between fields
+                if (k != 2 and k != 3 or "_" in raw
+                        or not (raw.isascii() or "".join(fields).isascii())):
+                    raise ValueError
+                u = int(fields[0])
+                v = int(fields[1])
+                w = int(fields[2]) if k == 3 else None
+            except ValueError:
+                # a line that is not two or three integers; a later header
+                # is one too, since "n=..." is no integer
+                line = raw.strip()
+                if line.startswith("n="):
+                    raise ParseError(line_no, "n= header must be the first "
+                                              "data line") from None
+                if k != 2 and k != 3:
+                    raise ParseError(line_no, f"expected 2 or 3 fields, "
+                                              f"got {k}") from None
+                raise ParseError(line_no,
+                                 f"non-integer field in {line!r}") from None
+            if k != width:
+                if width is not None:
+                    raise ParseError(line_no,
+                                     "mixed weighted and unweighted lines")
+                width = k
+            if u > v:
+                u, v = v, u
+            if u < 1:
+                raise ParseError(line_no,
+                                 f"labels must be >= 1 in {raw.strip()!r}")
+            if v > top:
+                raise LabelOutOfRangeError(
+                    f"line {line_no}: label {v} > n={n}")
+            if w is not None and w < 1:
+                raise BadWeightError(f"line {line_no}: weight {w} < 1")
+            if u == v:
+                edge(u, v, w)  # raises the self-loop refusal
+            yield new_edge(Edge, (u, v, w))
 
 
 @_without_cycle_collection

@@ -350,71 +350,3 @@ def test_cutoff_retires_a_late_accept():
     assert (k1.status, k1.reason) == (DEAD, BAD_LARGE)
     assert grid.index == {}
     assert grid.finalize(1) == [BAD_LATE, BAD_LATE, BAD_LARGE]
-
-
-@given(detector_specs, edge_seqs, st.integers(0, 12))
-@example([("tree", 1, 2, 1), ("disc", 1, 1, 1), ("disc", 2, 2, 1)],
-         [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4)], 1)
-@settings(max_examples=300, deadline=None)
-def test_retire_records_what_update_records(specs, seq, cutoff):
-    """Past the cutoff the grid calls retire. Every detector ends with the
-    status and reason that update followed by the late rule gives (an
-    accept past the cutoff is late), while what it collected, its t_seen
-    and t_last and the grid's peak slots stay as they were at the cutoff."""
-    reference = _make_detectors(specs)
-    for t, (a, b) in enumerate(seq, start=1):
-        for det in reference:
-            det.update(a, b, t)
-            if t > cutoff and det.t_last == t and det.status == ACTIVE:
-                det.status, det.reason = DEAD, BAD_LATE
-    cut = DetectorGrid(_make_detectors(specs), cutoff)
-    at_cutoff = DetectorGrid(_make_detectors(specs))
-    for t, (a, b) in enumerate(seq, start=1):
-        cut.feed(a, b, t)
-        if t <= cutoff:
-            at_cutoff.feed(a, b, t)
-    assert [(det.status, det.reason) for det in cut.detectors] == \
-        [(det.status, det.reason) for det in reference]
-    assert cut.finalize(cutoff) == [det.finalize(cutoff)
-                                    for det in reference]
-    assert cut.peak_slots == at_cutoff.peak_slots
-    for det, before in zip(cut.detectors, at_cutoff.detectors):
-        assert (det.t_seen, det.t_last) == (before.t_seen, before.t_last)
-        assert list(det.member_vertices()) == \
-            list(before.member_vertices())
-
-
-def test_retire_reasons():
-    def tree(k, *edges):
-        det = TreeDetector(1, k)
-        for t, (a, b) in enumerate(edges, start=1):
-            det.update(a, b, t)
-        return det
-
-    def disc(k, d, *edges):
-        det = DiscDetector(1, k, d)
-        for t, (a, b) in enumerate(edges, start=1):
-            det.update(a, b, t)
-        return det
-
-    cases = [
-        (tree(3, (1, 2)), (2, 3), BAD_LATE),        # new vertex, room left
-        (tree(2, (1, 2)), (2, 3), BAD_LARGE),       # new vertex past k
-        (tree(4, (1, 3)), (1, 2), BAD_VIOLATING),   # smaller child after 3
-        (tree(4, (1, 2), (1, 3)), (2, 3), None),    # inside: ignored
-        (disc(1, 2, (1, 2), (1, 3)), (2, 3), BAD_LATE),   # inside: kept
-        (disc(1, 1, (1, 2)), (1, 3), BAD_LATE),     # within the budget
-        (disc(1, 1, (1, 2)), (2, 3), None),         # past radius k
-        (disc(2, 1, (1, 2), (1, 3)), (1, 4), None),  # past degree d+1
-        (disc(1, 2, (1, 3)), (1, 2), BAD_VIOLATING),
-        (disc(0, 1), (1, 2), None),                 # k = 0 never changes
-    ]
-    for det, (a, b), reason in cases:
-        before = (det.t_seen, det.t_last, list(det.member_vertices()))
-        det.retire(a, b, 9)
-        assert (det.status, det.reason) == (
-            (ACTIVE, None) if reason is None else (DEAD, reason))
-        assert (det.t_seen, det.t_last,
-                list(det.member_vertices())) == before
-    with pytest.raises(OutOfOrderTimeStepError):
-        tree(3, (1, 2)).retire(2, 3, 1)
