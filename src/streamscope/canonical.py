@@ -15,7 +15,7 @@ edge order through a detector reproduce the construction exactly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .errors import (
     DiscTooLargeError,
@@ -25,7 +25,7 @@ from .errors import (
     InvariantError,
     RadiusMismatchError,
 )
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, truncate_high_degree
 
 # Minimum depth gap that exposes a late attachment. The verification suite's
 # mutation mode perturbs this to prove the probability checks are sensitive.
@@ -166,11 +166,11 @@ class RootedDisc:
 
     dep holds shortest-path distance to the root within the disc;
     anchored_max holds, per vertex, the largest label of a new vertex it has
-    attached (the disc analogue of a tree vertex's largest child).
+    attached (the disc analogue of a tree vertex's largest child). adj is the
+    one record of the kept edges: `edges` and `num_edges` are derived from it.
     """
 
-    __slots__ = ("root", "k", "d", "dep", "adj", "anchored_max", "maxdep",
-                 "edges")
+    __slots__ = ("root", "k", "d", "dep", "adj", "anchored_max", "maxdep")
 
     def __init__(self, root: int, k: int, d: int):
         self.root = root
@@ -180,15 +180,19 @@ class RootedDisc:
         self.adj: Dict[int, Set[int]] = {root: set()}
         self.anchored_max: Dict[int, int] = {}
         self.maxdep = 0
-        self.edges: Set[Tuple[int, int]] = set()
 
     @property
     def size(self) -> int:
         return len(self.dep)
 
     @property
+    def edges(self) -> Set[Tuple[int, int]]:
+        """The kept edges as (smaller, larger) label pairs."""
+        return {(u, w) for u, ws in self.adj.items() for w in ws if u < w}
+
+    @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj.values())) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -208,18 +212,21 @@ class RootedDisc:
         return dist
 
 
-def disc_update(f: RootedDisc, a: int, b: int) -> Union[str, int]:
-    """Apply one arriving edge under the extended-disc collection rule.
+def disc_classify(f: RootedDisc, a: int, b: int) -> Tuple[str, int, int]:
+    """classify_edge plus the disc's budget; read-only. An edge joining two
+    collected vertices is always kept (once the gap test passed it cannot
+    move a depth or add a vertex); one reaching a new vertex only while the
+    radius stays within k and the attachment point's collected degree within
+    d+1. A new vertex the budget refuses comes back OUTSIDE (ignored).
+    """
+    kind, u, w = classify_edge(f.dep, f.maxdep, f.anchored_max, a, b)
+    if kind == NEW_VERTEX and (f.dep[u] >= f.k or len(f.adj[u]) > f.d):
+        return OUTSIDE, u, w
+    return kind, u, w
 
-    Returns "violating", "ignored", "accepted" (an edge between two collected
-    vertices was kept), or the label of the vertex the edge attached.
 
-    The violating test of classify_edge runs first; then an edge joining two
-    collected vertices is always kept (it cannot move any depth once the gap
-    test passed, and it cannot add a vertex, so the space bound is
-    unaffected), while an edge reaching a new vertex is kept only when the
-    radius stays within k and the collected degree of the attachment point
-    stays within d+1.
+def disc_apply(f: RootedDisc, kind: str, u: int, w: int) -> None:
+    """Keep an edge disc_classify returned as INSIDE or NEW_VERTEX (w new).
 
     Only new-vertex attachments record an anchored target, exactly as tree
     collection records children: a closing edge between collected vertices
@@ -227,34 +234,38 @@ def disc_update(f: RootedDisc, a: int, b: int) -> Union[str, int]:
     it pollute the anchored set makes a later canonical scan trip over its
     own edges.
     """
-    kind, u, w = classify_edge(f.dep, f.maxdep, f.anchored_max, a, b)
+    if kind == NEW_VERTEX:
+        dw = f.dep[u] + 1
+        f.dep[w] = dw
+        f.adj[w] = {u}
+        if w > f.anchored_max.get(u, 0):
+            f.anchored_max[u] = w
+        if dw > f.maxdep:
+            f.maxdep = dw
+    else:
+        f.adj[w].add(u)
+    f.adj[u].add(w)
+
+
+def disc_update(f: RootedDisc, a: int, b: int) -> Union[str, int]:
+    """Apply one arriving edge: disc_classify, then disc_apply if kept.
+
+    Returns "violating", "ignored", "accepted" (an edge between two collected
+    vertices was kept), or the label of the vertex the edge attached.
+    """
+    kind, u, w = disc_classify(f, a, b)
     if kind == OUTSIDE:
         return "ignored"
     if kind == VIOLATING:
         return "violating"
-    if kind == INSIDE:
-        f.adj[u].add(w)
-        f.adj[w].add(u)
-        f.edges.add((u, w) if u < w else (w, u))
-        return "accepted"
-    du = f.dep[u]
-    if du + 1 > f.k or len(f.adj[u]) + 1 > f.d + 1:
-        return "ignored"
-    f.dep[w] = du + 1
-    f.adj[w] = {u}
-    f.adj[u].add(w)
-    f.edges.add((u, w) if u < w else (w, u))
-    if w > f.anchored_max.get(u, 0):
-        f.anchored_max[u] = w
-    if du + 1 > f.maxdep:
-        f.maxdep = du + 1
-    return w
+    disc_apply(f, kind, u, w)
+    return w if kind == NEW_VERTEX else "accepted"
 
 
 def is_violating_disc(f: RootedDisc, e: Edge) -> bool:
     """Disc analogue of is_violating_tree; dep is distance-to-root in f."""
     a, b = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-    if (a, b) in f.edges:
+    if b in f.adj.get(a, ()):
         raise EdgeAlreadyInDiscError(f"edge ({a},{b}) already in disc")
     return classify_edge(f.dep, f.maxdep, f.anchored_max, a, b)[0] \
         == VIOLATING
@@ -286,8 +297,7 @@ def grow_cano_disc(g: Graph, v: int, k: int,
         head += 1
         nbrs = g.neighbors_sorted(u)
         for w in nbrs[:min(len(nbrs), d + 1)]:
-            key = (u, w) if u < w else (w, u)
-            if key in f.edges:
+            if w in f.adj[u]:
                 continue
             before = dict(f.dep)
             res = disc_update(f, u, w)
@@ -471,7 +481,8 @@ def disc_code(f: RootedDisc, size_cap: int = DISC_SIZE_CAP) -> DiscType:
     if len(verts) > size_cap:
         raise DiscTooLargeError(f"disc has {len(verts)} vertices, cap {size_cap}")
     idx = {v: i for i, v in enumerate(verts)}
-    edges = tuple(sorted((idx[a], idx[b]) for a, b in f.edges))
+    edges = tuple(sorted((idx[a], idx[b]) for a in verts for b in f.adj[a]
+                         if a < b))
     cache_key = (len(verts), idx[f.root], edges)
     hit = _CODE_CACHE.get(cache_key)
     if hit is not None:
@@ -495,7 +506,6 @@ def materialize_disc(dt: DiscType, k: int, d: int) -> RootedDisc:
         u, w = a + 1, b + 1
         f.adj[u].add(w)
         f.adj[w].add(u)
-        f.edges.add((u, w) if u < w else (w, u))
     f.dep = f.recompute_depths()
     if len(f.dep) != n:
         raise InvariantError(f"disc code {dt.hex} is not root-connected")
@@ -507,30 +517,23 @@ def materialize_disc(dt: DiscType, k: int, d: int) -> RootedDisc:
 # Projection back to degree-truncated discs
 
 
-def _ball_code(root: int, adj: Dict[int, Set[int]], kept_edges,
-               k: int, d: int) -> DiscType:
+def _ball_code(root: int, adj, k: int, d: int) -> DiscType:
+    """Code of the radius-k ball around root in the graph adj (vertex to
+    neighbors; a vertex without an entry has none)."""
     dist = {root: 0}
     frontier = [root]
-    while frontier:
+    for depth in range(1, k + 1):
         nxt = []
         for u in frontier:
-            if dist[u] == k:
-                continue
             for w in adj.get(u, ()):
                 if w not in dist:
-                    dist[w] = dist[u] + 1
+                    dist[w] = depth
                     nxt.append(w)
         frontier = nxt
     sub = RootedDisc(root, k, d)
-    for v, dv in dist.items():
-        sub.dep[v] = dv
-        sub.adj.setdefault(v, set())
-    for a, b in kept_edges:
-        if a in dist and b in dist:
-            sub.adj[a].add(b)
-            sub.adj[b].add(a)
-            sub.edges.add((a, b) if a < b else (b, a))
-    sub.maxdep = max(dist.values(), default=0)
+    sub.dep = dist
+    sub.adj = {v: {w for w in adj.get(v, ()) if w in dist} for v in dist}
+    sub.maxdep = max(dist.values())
     return disc_code(sub)
 
 
@@ -549,22 +552,22 @@ def project_extended_disc(gamma: RootedDisc, k: int, d: int) -> DiscType:
     if gamma.d != d:
         raise RadiusMismatchError(
             f"extended disc built with budget {gamma.d}, need {d}")
-    high = {v for v in gamma.dep if len(gamma.adj.get(v, ())) >= d + 1}
-    kept = [(a, b) for (a, b) in gamma.edges if a not in high and b not in high]
-    adj: Dict[int, Set[int]] = {}
-    for a, b in kept:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return _ball_code(gamma.root, adj, kept, k, d)
+    high = {v for v, ws in gamma.adj.items() if len(ws) > d}
+    adj = {v: ws - high for v, ws in gamma.adj.items() if v not in high}
+    return _ball_code(gamma.root, adj, k, d)
+
+
+def bounded_disc_codes(g: Graph, roots: Iterable[int], k: int,
+                       d: int) -> List[DiscType]:
+    """Types of the k-discs of roots computed directly on the
+    degree-truncated graph: the independent reference the projection is
+    checked against. The graph is truncated once for all the roots.
+    """
+    g2 = truncate_high_degree(g, d)
+    adj = {u: g2.neighbors_sorted(u) for u in range(1, g2.n + 1)}
+    return [_ball_code(v, adj, k, d) for v in roots]
 
 
 def bounded_disc_code(g: Graph, v: int, k: int, d: int) -> DiscType:
-    """Type of the k-disc of v computed directly on the degree-truncated
-    graph: the independent reference the projection is checked against.
-    """
-    from .graphs import truncate_high_degree
-
-    g2 = truncate_high_degree(g, d)
-    adj = {u: set(g2.neighbors_sorted(u)) for u in range(1, g2.n + 1)}
-    kept = [(e.u, e.v) for e in g2.edges]
-    return _ball_code(v, adj, kept, k, d)
+    """bounded_disc_codes for the one root v."""
+    return bounded_disc_codes(g, (v,), k, d)[0]

@@ -2,20 +2,21 @@
 
 Each detector is a sequential state machine fed the stream edges in time
 order, and only the time step of its last accepted edge is compared against
-the phase threshold at finalize time. Bad is absorbing, and a dead
-detector's memory is released from the dispatch index immediately. The
-estimators draw the threshold before the pass, so the grid retires a
-detector as late the moment it accepts an edge after it: that detector can
-no longer finish Good.
+the phase threshold at finalize time. An update decides before it collects,
+so a detector never collects on the edge that kills it; Bad is absorbing.
+The estimators draw the threshold before the pass and hand it to every
+detector as its cutoff: an accept past it can no longer finish Good, so the
+detector dies there as late.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
-from . import canonical
-from .canonical import RootedDisc, RootedTree, disc_code
+from .canonical import (NEW_VERTEX, OUTSIDE, VIOLATING, RootedDisc,
+                        RootedTree, classify_edge, disc_apply, disc_classify,
+                        disc_code)
 from .errors import InvalidKError, OutOfOrderTimeStepError
 
 GOOD = "good"
@@ -36,7 +37,8 @@ class TreeDetector:
     edge ever arrives, with the empty tree's last-accept time pinned at 0.
     """
 
-    __slots__ = ("root", "k", "tree", "t_last", "t_seen", "status", "reason")
+    __slots__ = ("root", "k", "tree", "t_last", "t_seen", "status", "reason",
+                 "cutoff")
 
     def __init__(self, v: int, k: int):
         if k < 1:
@@ -48,6 +50,7 @@ class TreeDetector:
         self.t_seen = 0
         self.status = ACTIVE
         self.reason: Optional[str] = None
+        self.cutoff = math.inf
 
     def update(self, a: int, b: int, t: int) -> Optional[int]:
         """Feed one edge; returns the newly collected vertex, if any."""
@@ -56,17 +59,23 @@ class TreeDetector:
         self.t_seen = t
         if self.status != ACTIVE:
             return None
-        res = canonical.tree_update(self.tree, a, b)
-        if isinstance(res, int):
-            self.t_last = t
-            if self.tree.size > self.k:
-                self.status = DEAD
+        tree = self.tree
+        kind, u, w = classify_edge(tree.dep, tree.maxdep, tree.children_max,
+                                   a, b)
+        if kind == NEW_VERTEX:
+            if len(tree.dep) == self.k:
                 self.reason = BAD_LARGE
-                return None
-            return res
-        if res == "violating":
-            self.status = DEAD
+            elif t > self.cutoff:
+                self.reason = BAD_LATE
+            else:
+                tree.attach(u, w)
+                self.t_last = t
+                return w
+        elif kind == VIOLATING:
             self.reason = BAD_VIOLATING
+        else:
+            return None
+        self.status = DEAD
         return None
 
     def finalize(self, lam: int) -> str:
@@ -78,7 +87,7 @@ class TreeDetector:
             return BAD_LATE
         return GOOD
 
-    def member_vertices(self) -> Iterable[int]:
+    def member_vertices(self) -> Collection[int]:
         return self.tree.dep.keys()
 
 
@@ -91,7 +100,7 @@ class DiscDetector:
     """
 
     __slots__ = ("root", "k", "d", "disc", "t_last", "t_seen", "status",
-                 "reason")
+                 "reason", "cutoff")
 
     def __init__(self, v: int, k: int, d: int):
         if k < 0:
@@ -106,6 +115,7 @@ class DiscDetector:
         self.t_seen = 0
         self.status = ACTIVE
         self.reason: Optional[str] = None
+        self.cutoff = math.inf
 
     def update(self, a: int, b: int, t: int) -> Optional[int]:
         if t <= self.t_seen:
@@ -113,15 +123,18 @@ class DiscDetector:
         self.t_seen = t
         if self.status != ACTIVE or self.k == 0:
             return None
-        res = canonical.disc_update(self.disc, a, b)
-        if isinstance(res, int):
-            self.t_last = t
-            return res
-        if res == "accepted":
-            self.t_last = t
-        elif res == "violating":
-            self.status = DEAD
+        kind, u, w = disc_classify(self.disc, a, b)
+        if kind == OUTSIDE:
+            return None
+        if kind == VIOLATING:
             self.reason = BAD_VIOLATING
+        elif t > self.cutoff:
+            self.reason = BAD_LATE
+        else:
+            disc_apply(self.disc, kind, u, w)
+            self.t_last = t
+            return w if kind == NEW_VERTEX else None
+        self.status = DEAD
         return None
 
     def finalize(self, lam: int):
@@ -132,7 +145,7 @@ class DiscDetector:
             return BAD_LATE
         return disc_code(self.disc)
 
-    def member_vertices(self) -> Iterable[int]:
+    def member_vertices(self) -> Collection[int]:
         return self.disc.dep.keys()
 
 
@@ -141,17 +154,17 @@ class DetectorGrid:
 
     An edge can only change a detector whose collected structure already
     contains one of its endpoints, so the grid keeps an index from vertex to
-    the detectors watching it and touches nothing else. Without a cutoff,
-    results are identical to feeding every edge to every detector
-    sequentially.
+    the detectors watching it and touches nothing else. A dead detector
+    holds exactly the vertices it was indexed under, since it never collects
+    on the edge that kills it, so the grid unindexes it through
+    member_vertices(). Without a cutoff, results are identical to feeding
+    every edge to every detector sequentially.
 
-    A finite cutoff is the phase threshold drawn before the pass. A live
-    detector that accepts an edge at a time step past it dies at once as
-    BAD_LATE: its last-accept time already exceeds the threshold, so
-    finalize there would be Bad anyway. Every Good outcome and its
-    last-accept time stay as without the cutoff; only the reason a Bad
-    detector records can change (late where a later edge would have found
-    it violating or small).
+    A finite cutoff, the phase threshold drawn before the pass, goes to
+    every detector; one that would accept an edge past it dies as BAD_LATE.
+    Every Good outcome and its last-accept time stay as without the cutoff;
+    only the reason a Bad detector records can change (late where a later
+    edge would have found it violating or small).
     """
 
     def __init__(self, detectors, cutoff: float = math.inf):
@@ -160,13 +173,11 @@ class DetectorGrid:
         # vertex -> ids of the live detectors whose structure contains it;
         # read-only outside the grid
         self.index: Dict[int, Set[int]] = {}
-        self._members: List[List[int]] = []
-        self.peak_slots = 0
         self._slots = 0
         self.last_t = 0
         for i, det in enumerate(self.detectors):
-            members = list(det.member_vertices())
-            self._members.append(members)
+            det.cutoff = cutoff
+            members = det.member_vertices()
             for v in members:
                 self.index.setdefault(v, set()).add(i)
             self._slots += len(members)
@@ -189,34 +200,27 @@ class DetectorGrid:
         # Buckets are never empty. With one endpoint watched, an update can
         # only add the other endpoint, so the bucket iterated is not changed.
         detectors = self.detectors
-        members = self._members
-        late = t > self.cutoff
         dead = None
         for i in hit:
             det = detectors[i]
             added = det.update(a, b, t)
-            if late and det.t_last == t and det.status == ACTIVE:
-                det.status = DEAD
-                det.reason = BAD_LATE
-            elif added is not None:
+            if added is not None:
                 index.setdefault(added, set()).add(i)
-                members[i].append(added)
                 self._slots += 1
                 if self._slots > self.peak_slots:
                     self.peak_slots = self._slots
-            if det.status == DEAD:
+            elif det.status == DEAD:
                 if dead is None:
                     dead = []
                 dead.append(i)
         for i in dead or ():
-            for v in members[i]:
-                bucket = index.get(v)
-                if bucket is not None:
-                    bucket.discard(i)
-                    if not bucket:
-                        del index[v]
-            self._slots -= len(members[i])
-            members[i] = []
+            members = detectors[i].member_vertices()
+            for v in members:
+                bucket = index[v]
+                bucket.discard(i)
+                if not bucket:
+                    del index[v]
+            self._slots -= len(members)
 
     def finalize(self, lam: int) -> List:
         return [det.finalize(lam) for det in self.detectors]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .canonical import DiscType, bounded_disc_code, cano_disc, disc_code
+from .canonical import DiscType, bounded_disc_codes, cano_disc, disc_code
 from .errors import ComponentTooLargeError, DisconnectedError
 from .graphs import Graph, connected_components
 
@@ -161,7 +161,6 @@ def exact_bounded_disc_freq(g: Graph, k: int, d: int) -> Dict[DiscType, int]:
     """Histogram of d-bounded k-disc types computed directly on the
     degree-truncated graph (the projection's independent reference)."""
     hist: Dict[DiscType, int] = {}
-    for v in range(1, g.n + 1):
-        dt = bounded_disc_code(g, v, k, d)
+    for dt in bounded_disc_codes(g, range(1, g.n + 1), k, d):
         hist[dt] = hist.get(dt, 0) + 1
     return hist

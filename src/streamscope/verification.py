@@ -26,7 +26,7 @@ from multiprocessing import Pool
 from typing import Dict, List, Optional, Tuple
 
 from . import canonical
-from .canonical import (bounded_disc_code, cano_disc, cbfs_tree,
+from .canonical import (bounded_disc_codes, cano_disc, cbfs_tree,
                         grow_cano_disc, project_extended_disc)
 from .corpus import all_graphs_up_to, random_connected_weighted, random_graph
 from .detectors import (BAD_SMALL, GOOD, run_disc_detector, run_tree_detector)
@@ -328,12 +328,14 @@ def check_disc_projection(n_graphs: int = 200, seed: int = 53,
         n = rng.randint(1, 40)
         m = rng.randint(0, min(n * (n - 1) // 2, 80))
         g = random_graph(n, m, rng.randrange(2 ** 32))
+        wants = {(k, d): bounded_disc_codes(g, range(1, n + 1), k, d)
+                 for k in range(1, k_max + 1) for d in range(1, d_max + 1)}
         for v in range(1, n + 1):
             for k in range(1, k_max + 1):
                 for d in range(1, d_max + 1):
                     cases += 1
                     got = project_extended_disc(cano_disc(g, v, k + 1, d), k, d)
-                    want = bounded_disc_code(g, v, k, d)
+                    want = wants[k, d][v - 1]
                     if got != want:
                         return CheckResult(
                             "disc-projection", False,

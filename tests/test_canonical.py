@@ -224,7 +224,6 @@ def _relabel_disc(f, mapping):
     clone = RootedDisc(mapping[f.root], f.k, f.d)
     clone.dep = {mapping[v]: d for v, d in f.dep.items()}
     clone.adj = {mapping[v]: {mapping[w] for w in ws} for v, ws in f.adj.items()}
-    clone.edges = {tuple(sorted((mapping[a], mapping[b]))) for a, b in f.edges}
     clone.maxdep = f.maxdep
     return clone
 

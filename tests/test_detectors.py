@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -350,3 +351,74 @@ def test_cutoff_retires_a_late_accept():
     assert (k1.status, k1.reason) == (DEAD, BAD_LARGE)
     assert grid.index == {}
     assert grid.finalize(1) == [BAD_LATE, BAD_LATE, BAD_LARGE]
+
+
+@given(detector_specs, edge_seqs, st.one_of(st.just(math.inf),
+                                            st.integers(0, 12)))
+@example([("tree", 1, 2, 1), ("disc", 1, 1, 2), ("tree", 2, 3, 1)],
+         [(1, 2), (2, 3), (1, 3), (3, 4)], 1)
+@settings(max_examples=300, deadline=None)
+def test_index_is_exactly_the_live_members(specs, seq, cutoff):
+    """Cut or uncut, after every edge the index maps each vertex to the live
+    detectors holding it and to nothing else, so no dead detector sits in a
+    bucket, and the slot count is the sum of the live member counts."""
+    grid = DetectorGrid(_make_detectors(specs), cutoff)
+    for t, (a, b) in enumerate(seq, start=1):
+        grid.feed(a, b, t)
+        live = [i for i, det in enumerate(grid.detectors)
+                if det.status == ACTIVE]
+        watched = {}
+        for i in live:
+            for v in grid.detectors[i].member_vertices():
+                watched.setdefault(v, set()).add(i)
+        assert grid.index == watched
+        assert all(grid.detectors[i].status == ACTIVE
+                   for bucket in grid.index.values() for i in bucket)
+        assert grid._slots == sum(
+            len(grid.detectors[i].member_vertices()) for i in live)
+        assert grid._slots <= grid.peak_slots
+
+
+def _structure(det):
+    """Everything a detector's collected structure holds, copied."""
+    if isinstance(det, TreeDetector):
+        s = det.tree
+        return (dict(s.dep), dict(s.children_max), s.maxdep,
+                list(s.edge_order))
+    s = det.disc
+    return (dict(s.dep), {v: set(ws) for v, ws in s.adj.items()},
+            dict(s.anchored_max), s.maxdep)
+
+
+@pytest.mark.parametrize("make,before,last,cutoff,reason", [
+    # a new vertex below a vertex that already attached a larger label
+    (lambda: TreeDetector(1, 3), [(1, 3)], (1, 2), math.inf, BAD_VIOLATING),
+    (lambda: DiscDetector(1, 2, 2), [(1, 3)], (1, 2), math.inf,
+     BAD_VIOLATING),
+    # a third vertex for k = 2, past the cutoff too: large before late
+    (lambda: TreeDetector(1, 2), [(1, 2)], (2, 3), math.inf, BAD_LARGE),
+    (lambda: TreeDetector(1, 2), [(1, 2)], (2, 3), 1, BAD_LARGE),
+    (lambda: TreeDetector(5, 1), [], (5, 6), 0, BAD_LARGE),
+    # accepts past the cutoff: a tree vertex, a disc vertex, a disc chord
+    (lambda: TreeDetector(1, 3), [(1, 2)], (2, 3), 1, BAD_LATE),
+    (lambda: DiscDetector(1, 2, 2), [(1, 2)], (2, 3), 1, BAD_LATE),
+    (lambda: DiscDetector(1, 1, 2), [(1, 2), (1, 3)], (2, 3), 2, BAD_LATE),
+    # a new vertex over the degree budget is ignored, not a kill
+    (lambda: DiscDetector(1, 1, 1), [(1, 2), (1, 3)], (1, 4), 2, None),
+])
+def test_a_killing_edge_leaves_the_structure_untouched(make, before, last,
+                                                       cutoff, reason):
+    det = make()
+    det.cutoff = cutoff
+    for t, (a, b) in enumerate(before, start=1):
+        assert det.update(a, b, t) is not None
+    assert det.status == ACTIVE
+    kept = _structure(det)
+    t_last = det.t_last
+    assert det.update(*last, len(before) + 1) is None
+    assert _structure(det) == kept and det.t_last == t_last
+    if reason is None:
+        assert det.status == ACTIVE and det.reason is None
+    else:
+        assert (det.status, det.reason) == (DEAD, reason)
+        assert det.finalize(len(before) + 1) == reason
