@@ -168,6 +168,7 @@ class RootedDisc:
     anchored_max holds, per vertex, the largest label of a new vertex it has
     attached (the disc analogue of a tree vertex's largest child). adj is the
     one record of the kept edges: `edges` and `num_edges` are derived from it.
+    Only a vertex with a kept edge has an adj entry: a bare root has none.
     """
 
     __slots__ = ("root", "k", "d", "dep", "adj", "anchored_max", "maxdep")
@@ -177,7 +178,7 @@ class RootedDisc:
         self.k = k
         self.d = d
         self.dep: Dict[int, int] = {root: 0}
-        self.adj: Dict[int, Set[int]] = {root: set()}
+        self.adj: Dict[int, Set[int]] = {}
         self.anchored_max: Dict[int, int] = {}
         self.maxdep = 0
 
@@ -195,7 +196,7 @@ class RootedDisc:
         return sum(map(len, self.adj.values())) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.adj.get(v, ()))
 
     def recompute_depths(self) -> Dict[int, int]:
         """BFS distances to the root over the current disc."""
@@ -204,7 +205,7 @@ class RootedDisc:
         while frontier:
             nxt = []
             for u in frontier:
-                for w in self.adj[u]:
+                for w in self.adj.get(u, ()):
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         nxt.append(w)
@@ -220,7 +221,8 @@ def disc_classify(f: RootedDisc, a: int, b: int) -> Tuple[str, int, int]:
     d+1. A new vertex the budget refuses comes back OUTSIDE (ignored).
     """
     kind, u, w = classify_edge(f.dep, f.maxdep, f.anchored_max, a, b)
-    if kind == NEW_VERTEX and (f.dep[u] >= f.k or len(f.adj[u]) > f.d):
+    if kind == NEW_VERTEX and (f.dep[u] >= f.k
+                               or len(f.adj.get(u, ())) > f.d):
         return OUTSIDE, u, w
     return kind, u, w
 
@@ -232,7 +234,7 @@ def disc_apply(f: RootedDisc, kind: str, u: int, w: int) -> None:
     collection records children: a closing edge between collected vertices
     says nothing about either endpoint's own lexicographic scan, and letting
     it pollute the anchored set makes a later canonical scan trip over its
-    own edges.
+    own edges. The attachment point's adj entry is made on its first edge.
     """
     if kind == NEW_VERTEX:
         dw = f.dep[u] + 1
@@ -244,7 +246,10 @@ def disc_apply(f: RootedDisc, kind: str, u: int, w: int) -> None:
             f.maxdep = dw
     else:
         f.adj[w].add(u)
-    f.adj[u].add(w)
+    if u in f.adj:
+        f.adj[u].add(w)
+    else:
+        f.adj[u] = {w}
 
 
 def disc_update(f: RootedDisc, a: int, b: int) -> Union[str, int]:
@@ -297,17 +302,18 @@ def grow_cano_disc(g: Graph, v: int, k: int,
         head += 1
         nbrs = g.neighbors_sorted(u)
         for w in nbrs[:min(len(nbrs), d + 1)]:
-            if w in f.adj[u]:
+            if w in f.adj.get(u, ()):
                 continue
-            before = dict(f.dep)
-            res = disc_update(f, u, w)
-            if res == "accepted" or res == w:
+            kind, a, b = disc_classify(f, u, w)
+            if kind == INSIDE or kind == NEW_VERTEX:
+                before = dict(f.dep)
+                disc_apply(f, kind, a, b)
                 order.append((u, w))
                 after = f.recompute_depths()
                 if any(after[x] != dx for x, dx in before.items()):
                     raise InvariantError(f"accepted edge ({u},{w}) moved a "
                                          f"collected depth")
-                if res == w:
+                if kind == NEW_VERTEX:
                     queue.append(w)
     return f, order
 
@@ -481,8 +487,8 @@ def disc_code(f: RootedDisc, size_cap: int = DISC_SIZE_CAP) -> DiscType:
     if len(verts) > size_cap:
         raise DiscTooLargeError(f"disc has {len(verts)} vertices, cap {size_cap}")
     idx = {v: i for i, v in enumerate(verts)}
-    edges = tuple(sorted((idx[a], idx[b]) for a in verts for b in f.adj[a]
-                         if a < b))
+    edges = tuple(sorted((idx[a], idx[b]) for a, ws in f.adj.items()
+                         for b in ws if a < b))
     cache_key = (len(verts), idx[f.root], edges)
     hit = _CODE_CACHE.get(cache_key)
     if hit is not None:
@@ -500,12 +506,10 @@ def materialize_disc(dt: DiscType, k: int, d: int) -> RootedDisc:
     """Representative rooted disc of a type, labels 1..n with root 1."""
     n, edges = dt.decode()
     f = RootedDisc(1, k, d)
-    for v in range(2, n + 1):
-        f.adj[v] = set()
     for a, b in edges:
         u, w = a + 1, b + 1
-        f.adj[u].add(w)
-        f.adj[w].add(u)
+        f.adj.setdefault(u, set()).add(w)
+        f.adj.setdefault(w, set()).add(u)
     f.dep = f.recompute_depths()
     if len(f.dep) != n:
         raise InvariantError(f"disc code {dt.hex} is not root-connected")
@@ -532,7 +536,8 @@ def _ball_code(root: int, adj, k: int, d: int) -> DiscType:
         frontier = nxt
     sub = RootedDisc(root, k, d)
     sub.dep = dist
-    sub.adj = {v: {w for w in adj.get(v, ()) if w in dist} for v in dist}
+    sub.adj = {v: ws for v in dist
+               if (ws := {w for w in adj.get(v, ()) if w in dist})}
     sub.maxdep = max(dist.values())
     return disc_code(sub)
 

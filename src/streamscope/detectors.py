@@ -29,23 +29,22 @@ ACTIVE = 0
 DEAD = 1
 
 
-class TreeDetector:
-    """Collects a canonical-BFS-consistent tree of up to k vertices rooted at
-    v from a single pass; finalize decides Good against the phase threshold.
+class TreeDetector(RootedTree):
+    """A canonical-BFS-consistent tree of up to k vertices rooted at v,
+    collected from a single pass; finalize decides Good against the phase
+    threshold.
 
     k=1 roots take the general path: they finish Good only when no incident
     edge ever arrives, with the empty tree's last-accept time pinned at 0.
     """
 
-    __slots__ = ("root", "k", "tree", "t_last", "t_seen", "status", "reason",
-                 "cutoff")
+    __slots__ = ("k", "t_last", "t_seen", "status", "reason", "cutoff")
 
     def __init__(self, v: int, k: int):
         if k < 1:
             raise InvalidKError(f"k must be >= 1, got {k}")
-        self.root = v
+        super().__init__(v)
         self.k = k
-        self.tree = RootedTree(v)
         self.t_last = 0
         self.t_seen = 0
         self.status = ACTIVE
@@ -59,16 +58,15 @@ class TreeDetector:
         self.t_seen = t
         if self.status != ACTIVE:
             return None
-        tree = self.tree
-        kind, u, w = classify_edge(tree.dep, tree.maxdep, tree.children_max,
+        kind, u, w = classify_edge(self.dep, self.maxdep, self.children_max,
                                    a, b)
         if kind == NEW_VERTEX:
-            if len(tree.dep) == self.k:
+            if len(self.dep) == self.k:
                 self.reason = BAD_LARGE
             elif t > self.cutoff:
                 self.reason = BAD_LATE
             else:
-                tree.attach(u, w)
+                self.attach(u, w)
                 self.t_last = t
                 return w
         elif kind == VIOLATING:
@@ -81,36 +79,32 @@ class TreeDetector:
     def finalize(self, lam: int) -> str:
         if self.status == DEAD:
             return self.reason
-        if self.tree.size < self.k:
+        if len(self.dep) < self.k:
             return BAD_SMALL
         if self.t_last > lam:
             return BAD_LATE
         return GOOD
 
     def member_vertices(self) -> Collection[int]:
-        return self.tree.dep.keys()
+        return self.dep.keys()
 
 
-class DiscDetector:
-    """Collects an extended (d+1)-bounded k-disc from a single pass.
+class DiscDetector(RootedDisc):
+    """An extended (d+1)-bounded k-disc collected from a single pass.
 
     finalize returns the disc's canonical type when the last accepted edge
     fell inside the first phase, else a Bad marker. k=0 short-circuits to the
     singleton type regardless of the stream.
     """
 
-    __slots__ = ("root", "k", "d", "disc", "t_last", "t_seen", "status",
-                 "reason", "cutoff")
+    __slots__ = ("t_last", "t_seen", "status", "reason", "cutoff")
 
     def __init__(self, v: int, k: int, d: int):
         if k < 0:
             raise InvalidKError(f"k must be >= 0, got {k}")
         if d < 1:
             raise InvalidKError(f"d must be >= 1, got {d}")
-        self.root = v
-        self.k = k
-        self.d = d
-        self.disc = RootedDisc(v, k, d)
+        super().__init__(v, k, d)
         self.t_last = 0
         self.t_seen = 0
         self.status = ACTIVE
@@ -123,7 +117,7 @@ class DiscDetector:
         self.t_seen = t
         if self.status != ACTIVE or self.k == 0:
             return None
-        kind, u, w = disc_classify(self.disc, a, b)
+        kind, u, w = disc_classify(self, a, b)
         if kind == OUTSIDE:
             return None
         if kind == VIOLATING:
@@ -131,7 +125,7 @@ class DiscDetector:
         elif t > self.cutoff:
             self.reason = BAD_LATE
         else:
-            disc_apply(self.disc, kind, u, w)
+            disc_apply(self, kind, u, w)
             self.t_last = t
             return w if kind == NEW_VERTEX else None
         self.status = DEAD
@@ -143,10 +137,10 @@ class DiscDetector:
             return self.reason
         if self.t_last > lam:
             return BAD_LATE
-        return disc_code(self.disc)
+        return disc_code(self)
 
     def member_vertices(self) -> Collection[int]:
-        return self.disc.dep.keys()
+        return self.dep.keys()
 
 
 class DetectorGrid:

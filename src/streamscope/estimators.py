@@ -200,7 +200,7 @@ class NumCCRun(RootPass):
         # its last accept is in phase; every other k is Bad for that root.
         for det, outcome in self.outcomes(lam):
             if outcome in (GOOD, BAD_SMALL) and det.t_last <= lam:
-                indicators[det.tree.size] += self.roots[det.root]
+                indicators[det.size] += self.roots[det.root]
         per_k = {}
         for k in range(1, params.k_max + 1):
             per_k[k] = (indicators[k] / params.s) * (self.n / k) \

@@ -273,8 +273,7 @@ def check_canonical_replay(n_graphs: int = 500, seed: int = 31,
                 ct = cbfs_tree(g, v, k)
                 order = ct.edge_order
                 out, det = run_tree_detector(order, v, k, len(order))
-                same = (det.tree.dep == ct.dep
-                        and det.tree.edge_order == ct.edge_order)
+                same = det.dep == ct.dep and det.edge_order == ct.edge_order
                 want = GOOD if ct.size == k else BAD_SMALL
                 if out != want or not same:
                     return CheckResult(
@@ -285,8 +284,8 @@ def check_canonical_replay(n_graphs: int = 500, seed: int = 31,
                     disc_cases += 1
                     cd, order = grow_cano_disc(g, v, k, d)
                     out, det = run_disc_detector(order, v, k, d, len(order))
-                    if (isinstance(out, str) or det.disc.edges != cd.edges
-                            or det.disc.dep != cd.dep):
+                    if (isinstance(out, str) or det.adj != cd.adj
+                            or det.dep != cd.dep):
                         return CheckResult(
                             "canonical-replay", False,
                             f"disc replay mismatch: n={n} m={m} root={v} "

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from streamscope.canonical import (RootedDisc, RootedTree, cano_disc,
-                                   disc_code, is_violating_disc,
-                                   is_violating_tree)
+                                   disc_code, disc_update, is_violating_disc,
+                                   is_violating_tree, materialize_disc)
 from streamscope.detectors import (ACTIVE, BAD_LARGE, BAD_LATE, BAD_SMALL,
                                    BAD_VIOLATING, DEAD, GOOD, DetectorGrid,
                                    DiscDetector, TreeDetector,
@@ -17,7 +17,7 @@ from streamscope.graphs import Graph, edge
 
 def test_new_detector_state():
     det = TreeDetector(3, 2)
-    assert det.status == ACTIVE and det.tree.size == 1 and det.t_last == 0
+    assert det.status == ACTIVE and det.size == 1 and det.t_last == 0
     det1 = TreeDetector(1, 1)
     assert det1.status == ACTIVE
     with pytest.raises(InvalidKError):
@@ -28,7 +28,7 @@ def test_update_accepts_extension():
     det = TreeDetector(1, 3)
     det.update(1, 2, 1)
     det.update(2, 3, 5)
-    assert det.tree.dep[3] == 2 and det.t_last == 5 and det.status == ACTIVE
+    assert det.dep[3] == 2 and det.t_last == 5 and det.status == ACTIVE
 
 
 def test_update_violating_label():
@@ -102,7 +102,7 @@ def test_disc_detector_hijacked_triangle():
     out, det = run_disc_detector([(2, 3), (1, 2), (1, 3)], 1, 1, 2, 3)
     star3 = Graph(3, [edge(1, 2), edge(1, 3)])
     assert out == disc_code(cano_disc(star3, 1, 1, 2))
-    assert det.disc.edges == {(1, 2), (1, 3)}
+    assert det.edges == {(1, 2), (1, 3)}
 
 
 def test_disc_detector_late_completion():
@@ -161,7 +161,7 @@ def test_detector_matches_standalone_predicate(seq, root, k):
             assert det.status == DEAD and det.reason == BAD_VIOLATING
             break
         if det.status == ACTIVE and det.t_last == t:
-            shadow.attach(*det.tree.edge_order[-1])
+            shadow.attach(*det.edge_order[-1])
 
 
 @given(edge_seqs, st.integers(1, 7), st.integers(0, 12))
@@ -216,8 +216,6 @@ def test_montecarlo_good_counts_matches_fresh_detectors(n, pairs):
 def test_disc_detector_matches_standalone_predicate(seq, root, k, d):
     det = DiscDetector(root, k, d)
     shadow = RootedDisc(root, k, d)
-    from streamscope.canonical import disc_update
-
     for t, (a, b) in enumerate(seq, start=1):
         if det.status != ACTIVE or k == 0:
             break
@@ -230,8 +228,30 @@ def test_disc_detector_matches_standalone_predicate(seq, root, k, d):
             assert det.status == DEAD and det.reason == BAD_VIOLATING
             break
         res = disc_update(shadow, a, b)
-        assert shadow.edges == det.disc.edges
+        assert shadow.edges == det.edges
         assert added == (None if isinstance(res, str) else res)
+
+
+@given(edge_seqs, st.integers(1, 7), st.integers(0, 3), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_disc_adj_holds_exactly_the_kept_edge_endpoints(seq, root, k, d):
+    """After any edge sequence, through the detector or through disc_update,
+    a disc's adj has an entry for exactly the endpoints of its kept edges,
+    and no entry is empty."""
+    det = DiscDetector(root, k, d)
+    shadow = RootedDisc(root, k, d)
+    for t, (a, b) in enumerate(seq, start=1):
+        det.update(a, b, t)
+        disc_update(shadow, a, b)
+        for f in (det, shadow):
+            assert set(f.adj) == {x for e in f.edges for x in e}
+            assert all(f.adj.values())
+
+
+def test_bare_disc_has_no_adj_entry():
+    singleton = materialize_disc(disc_code(RootedDisc(1, 0, 1)), 3, 3)
+    for f in (DiscDetector(4, 3, 3), singleton):
+        assert f.adj == {} and f.degree(f.root) == 0
 
 
 @given(edge_seqs, st.integers(1, 7), st.integers(1, 5), st.integers(0, 12))
@@ -239,7 +259,7 @@ def test_disc_detector_matches_standalone_predicate(seq, root, k, d):
 def test_good_implies_full_size_tree(seq, root, k, lam):
     out, det = run_tree_detector(seq, root, k, lam)
     if out == GOOD:
-        assert det.tree.size == k
+        assert det.size == k
         assert det.t_last <= lam
 
 
@@ -382,12 +402,10 @@ def test_index_is_exactly_the_live_members(specs, seq, cutoff):
 def _structure(det):
     """Everything a detector's collected structure holds, copied."""
     if isinstance(det, TreeDetector):
-        s = det.tree
-        return (dict(s.dep), dict(s.children_max), s.maxdep,
-                list(s.edge_order))
-    s = det.disc
-    return (dict(s.dep), {v: set(ws) for v, ws in s.adj.items()},
-            dict(s.anchored_max), s.maxdep)
+        return (dict(det.dep), dict(det.children_max), det.maxdep,
+                list(det.edge_order))
+    return (dict(det.dep), {v: set(ws) for v, ws in det.adj.items()},
+            dict(det.anchored_max), det.maxdep)
 
 
 @pytest.mark.parametrize("make,before,last,cutoff,reason", [
