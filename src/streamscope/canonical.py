@@ -7,9 +7,9 @@ projection that recovers a degree-truncated disc from its extended form.
 
 The violating-edge rule exists once, in `classify_edge`; trees apply it over
 each vertex's largest attached child and discs over its largest anchored
-target. Tree and disc updates, the public `is_violating_*` predicates, the
-stream detectors, the static disc construction (`grow_cano_disc`) and the
-enumerator's replay all go through it, which makes replaying a canonical
+target. The stream detectors, `disc_update`, the public `is_violating_*`
+predicates, the static disc construction (`grow_cano_disc`) and the
+enumerator's tree replay all call it, which makes replaying a canonical
 edge order through a detector reproduce the construction exactly.
 """
 
@@ -110,20 +110,6 @@ def classify_edge(dep: Dict[int, int], maxdep: int, largest: Dict[int, int],
     if maxdep - da >= DEPTH_GAP or largest.get(a, 0) > b:
         return VIOLATING, a, b
     return NEW_VERTEX, a, b
-
-
-def tree_update(t: RootedTree, a: int, b: int) -> Union[str, int]:
-    """Apply one arriving edge to a collected tree.
-
-    Returns "violating", "ignored" (the edge touches no collected vertex, or
-    joins two of them), or the label of the vertex the edge attached, as
-    disc_update does.
-    """
-    kind, u, w = classify_edge(t.dep, t.maxdep, t.children_max, a, b)
-    if kind == NEW_VERTEX:
-        t.attach(u, w)
-        return w
-    return "violating" if kind == VIOLATING else "ignored"
 
 
 def is_violating_tree(t: RootedTree, e: Edge) -> bool:
@@ -401,23 +387,19 @@ def _twin_classes(cell: List[int], adj: List[Set[int]]) -> List[int]:
 
 
 def canonical_rooted_code(n: int, edges, root: int,
-                          deps: Optional[Dict[int, int]] = None,
-                          size_cap: int = DISC_SIZE_CAP) -> bytes:
+                          deps: Dict[int, int]) -> bytes:
     """Minimal adjacency encoding over label permutations that fix the root.
 
     Vertices are pre-partitioned by (root flag, depth, degree) and refined by
     neighbor colors; the backtracking search then assigns positions cell by
-    cell, pruning on the partial encoding and collapsing true twins.
+    cell, pruning on the partial encoding and collapsing true twins. The
+    caller (disc_code) has already refused a disc above DISC_SIZE_CAP.
     """
-    if n > size_cap:
-        raise DiscTooLargeError(f"{n} vertices exceeds cap {size_cap}")
     adj: List[Set[int]] = [set() for _ in range(n)]
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    base = [(0 if v == root else 1,
-             -1 if deps is None else deps.get(v, -1),
-             len(adj[v])) for v in range(n)]
+    base = [(0 if v == root else 1, deps[v], len(adj[v])) for v in range(n)]
     ranking = {sig: i for i, sig in enumerate(sorted(set(base)))}
     colors = _refine_colors(n, adj, [ranking[base[v]] for v in range(n)])
 
@@ -479,13 +461,14 @@ def canonical_rooted_code(n: int, edges, root: int,
 _CODE_CACHE: Dict[tuple, DiscType] = {}
 
 
-def disc_code(f: RootedDisc, size_cap: int = DISC_SIZE_CAP) -> DiscType:
+def disc_code(f: RootedDisc) -> DiscType:
     """Canonical code of a rooted disc; equal codes iff a root-preserving
     isomorphism exists between the discs.
     """
     verts = sorted(f.dep)
-    if len(verts) > size_cap:
-        raise DiscTooLargeError(f"disc has {len(verts)} vertices, cap {size_cap}")
+    if len(verts) > DISC_SIZE_CAP:
+        raise DiscTooLargeError(f"disc has {len(verts)} vertices, cap "
+                                f"{DISC_SIZE_CAP}")
     idx = {v: i for i, v in enumerate(verts)}
     edges = tuple(sorted((idx[a], idx[b]) for a, ws in f.adj.items()
                          for b in ws if a < b))
@@ -494,8 +477,7 @@ def disc_code(f: RootedDisc, size_cap: int = DISC_SIZE_CAP) -> DiscType:
     if hit is not None:
         return hit
     deps = {idx[v]: f.dep[v] for v in verts}
-    code = canonical_rooted_code(len(verts), edges, idx[f.root], deps,
-                                 size_cap=size_cap)
+    code = canonical_rooted_code(len(verts), edges, idx[f.root], deps)
     dt = DiscType(code, len(edges))
     if len(_CODE_CACHE) < 200_000:
         _CODE_CACHE[cache_key] = dt

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterator, Optional
 
 from .corpus import (cc_benchmark, disc_benchmark, mixed_components,
                      padded_triangles, random_graph, random_small_components,
@@ -21,8 +20,7 @@ from .errors import (BadWeightError, BadWError, ComponentTooLargeError,
                      VertexCountMismatchError)
 from .estimators import (EstimatorParams, cc_param_scales, disc_param_scales,
                          mis_estimate, mst_weight, num_cc, num_disc)
-from .graphs import (Edge, EdgeLines, Graph, load_edge_list,
-                     serialize_edge_list)
+from .graphs import EdgeLines, Graph, load_edge_list, serialize_edge_list
 from .oracles import (exact_cc_histogram, exact_disc_freq, exact_mis,
                       kruskal_mst, make_component_mis_oracle)
 from .streams import (EdgeStream, given_order_stream, shuffle_stream,
@@ -35,33 +33,6 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_WEIGHT = 4
 EXIT_COMPONENT_CAP = 5
-
-
-class _LazyFileStream:
-    """Edge stream read straight from a file, nothing materialized.
-
-    Debugging aid for space-discipline runs: the order is the file order, not
-    random. Building it reads the file once to count its edges, so the
-    stream can say its length before the pass; `n` is the given vertex
-    count, else the file's n= header, else None. Both reads go through
-    graphs.EdgeLines, which refuses self loops and labels above n in
-    constant space; duplicate edges would need memory linear in m, so they
-    go undetected.
-    """
-
-    def __init__(self, path: str, n: Optional[int]):
-        self.path = path
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = EdgeLines(fh, n)
-            self.m = sum(1 for _ in lines)
-        self.n = lines.n
-
-    def __len__(self) -> int:
-        return self.m
-
-    def __iter__(self) -> Iterator[Edge]:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            yield from EdgeLines(fh, self.n)
 
 
 def _default_seed() -> int:
@@ -145,25 +116,15 @@ def _params(args) -> EstimatorParams:
 
 
 def cmd_run_cc(args) -> int:
-    if args.stream_order == "given" and args.input and not args.exact:
-        # file replay with nothing materialized; n from --n or the header
-        stream = _LazyFileStream(args.input, args.n)
-        n = stream.n
-        if n is None:
-            raise ConfigError("--n is required when the edge list carries no "
-                              "n= header")
-    else:
-        g = _load_graph(args)
-        n = g.n
-        if args.exact:
-            hist = exact_cc_histogram(g)
-            doc = {"algorithm": "num-cc-exact", "n": n,
-                   "per_k": {str(k): c for k, c in sorted(hist.items())},
-                   "total": sum(hist.values())}
-            _emit(args, json.dumps(doc, sort_keys=True) + "\n")
-            return EXIT_OK
-        stream = _stream_for(args, g)
-    _emit(args, num_cc(stream, n, _params(args)).to_json())
+    g = _load_graph(args)
+    if args.exact:
+        hist = exact_cc_histogram(g)
+        doc = {"algorithm": "num-cc-exact", "n": g.n,
+               "per_k": {str(k): c for k, c in sorted(hist.items())},
+               "total": sum(hist.values())}
+        _emit(args, json.dumps(doc, sort_keys=True) + "\n")
+        return EXIT_OK
+    _emit(args, num_cc(_stream_for(args, g), g.n, _params(args)).to_json())
     return EXIT_OK
 
 
@@ -283,8 +244,8 @@ def _add_common(p, weighted: bool = False, kmax: bool = False):
                    help="bypass streaming and emit the exact oracle answer")
     p.add_argument("--stream-order", choices=("shuffled", "given"),
                    default="shuffled",
-                   help="'given' keeps the file order (debugging); run-cc "
-                        "then replays the file without materializing it")
+                   help="'given' streams the edges in the file's order "
+                        "(debugging; not random)")
     if weighted:
         p.add_argument("--W", type=int, default=None,
                        help="maximum edge weight (inferred when omitted)")

@@ -16,7 +16,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .canonical import DiscType, RootedTree, tree_update
+from .canonical import (NEW_VERTEX, VIOLATING, DiscType, RootedTree,
+                        classify_edge)
 from .detectors import BAD_LATE, GOOD, DiscDetector, TreeDetector, _replay
 from .errors import InvariantError, TooManyEdgesError
 from .graphs import Graph
@@ -90,10 +91,12 @@ def tree_replay_profile(order, root: int) -> Tuple[List[int], Optional[int]]:
     tree = RootedTree(root)
     accepts: List[int] = []
     for t, (a, b) in enumerate(order, 1):
-        res = tree_update(tree, a, b)
-        if isinstance(res, int):
+        kind, u, w = classify_edge(tree.dep, tree.maxdep, tree.children_max,
+                                   a, b)
+        if kind == NEW_VERTEX:
+            tree.attach(u, w)
             accepts.append(t)
-        elif res == "violating":
+        elif kind == VIOLATING:
             return accepts, t
     return accepts, None
 

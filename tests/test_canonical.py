@@ -168,11 +168,14 @@ def test_disc_code_matches_brute_force_classes():
 
 
 def test_disc_code_size_cap():
+    # a star on 69 vertices: adj holds exactly the kept edges' endpoints
     big = RootedDisc(1, 1, 1)
+    big.adj[1] = set()
     for v in range(2, 70):
-        from streamscope.canonical import disc_update
         big.dep[v] = 1
-        big.adj[v] = set()
+        big.adj[1].add(v)
+        big.adj[v] = {1}
+    big.maxdep = 1
     with pytest.raises(DiscTooLargeError):
         disc_code(big)
 

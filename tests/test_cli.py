@@ -75,8 +75,8 @@ def test_run_cc_given_order(cc_file, capsys):
 @pytest.mark.parametrize("header,rc", [(True, 0), (False, 2)])
 def test_run_cc_given_order_takes_n_from_the_header(tmp_path, capsys, header,
                                                     rc):
-    # the replay's counting read sees the n= header, so --n may be left out;
-    # with neither, n is unknown and the run exits 2
+    # the load reads n from the n= header, so --n may be left out; with
+    # neither, n is unknown and the run exits 2
     path = tmp_path / "g.el"
     path.write_text(("n=5\n" if header else "") + "1 2\n2 3\n")
     code = main(["run-cc", "--input", str(path), "--tau", "0.3",
@@ -91,9 +91,10 @@ def test_run_cc_given_order_takes_n_from_the_header(tmp_path, capsys, header,
 
 
 def test_run_cc_given_order_matches_the_materialized_stream(tmp_path):
-    # The file replay counts the file's edges before the pass, so it draws Λ
-    # and cuts its grid exactly as num_cc over the loaded graph's
-    # given-order stream does. Same bytes.
+    # A canonical file lists its edges in the order the graph stores them,
+    # so run-cc's file-order stream is the graph's given-order stream: Λ and
+    # the grid cut are drawn from the same m, and the bytes are those of
+    # num_cc over given_order_stream(g).
     g = cc_benchmark()
     path = tmp_path / "cc.el"
     path.write_text(serialize_edge_list(g))
@@ -138,8 +139,8 @@ def _reversed_lines(g):
                                      "run-mis"])
 def test_given_order_streams_the_file_order(tmp_path, command):
     # The graph stores its edges sorted; --stream-order given streams them
-    # in the file's order instead, whether the command replays the file
-    # (run-cc) or loads it first (the others)
+    # in the file's order instead: every command loads the file, then
+    # parses its lines again in file order
     if command == "run-mst":
         g = weighted_path(n=60, heavy_every=3, W=3)
     else:
@@ -247,16 +248,14 @@ _EXIT = {ParseError: 3, LabelOutOfRangeError: 3, SelfLoopError: 3,
 @pytest.mark.parametrize("kind, command, order", [
     (kind, command, order) for kind in sorted(_REFUSALS)
     for command, order in (("run-cc", "shuffled"), ("run-cc", "given"),
-                           ("run-disc", "given"))
-    # run-cc's file replay holds one line at a time, so it cannot see a
-    # duplicate (README, --stream-order given)
-    if (kind, command, order) != ("duplicate", "run-cc", "given")])
+                           ("run-disc", "given"))])
 def test_every_load_path_refuses_alike(tmp_path, capsys, kind, command,
                                        order):
     """Each fault gives the same error type, message and exit code through
-    load_edge_list, a loaded run (run-cc shuffled, and run-disc, which
-    loads the file before it replays it in file order) and run-cc's file
-    replay."""
+    load_edge_list and through a run in either stream order (run-cc
+    shuffled and given, run-disc given): every run loads and checks the
+    whole file before it streams its edges, so a duplicated line is
+    refused under --stream-order given as well."""
     text, error, message = _REFUSALS[kind]
     n = 5 if kind == "header-vs-n" else None
     with pytest.raises(error) as exc:
@@ -279,8 +278,8 @@ def test_every_load_path_refuses_alike(tmp_path, capsys, kind, command,
                                             ("run-cc", "given"),
                                             ("run-mst", "shuffled")])
 def test_file_vertex_count_must_match(tmp_path, capsys, command, order):
-    # a --n that differs from the file's n= header is refused, whether the
-    # file is loaded or replayed; an equal --n is accepted
+    # a --n that differs from the file's n= header is refused in either
+    # stream order; an equal --n is accepted
     path = tmp_path / "g.el"
     path.write_text("n=5\n1 2 1\n2 3 2\n" if command == "run-mst"
                     else "n=5\n1 2\n2 3\n")
@@ -346,9 +345,7 @@ def test_malformed_edge_list_is_one_line_error(kind, command, weighted,
     (weight), no report and no traceback."""
     weighted = weighted or command == "run-mst"
     given_order = given_order and command == "run-cc"
-    # the given-order replay cannot see duplicates in constant space, and
     # run-cc takes any weight W
-    assume(not (given_order and kind == "duplicate"))
     assume(not (command == "run-cc" and kind == "weight-above-W"))
     if kind == "late-header":
         at = max(at, 1)
