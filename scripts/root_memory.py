@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Bytes per sampled root before the pass.
+"""Bytes per sampled root, before the pass and once every root is built.
 
 Builds a DetectorGrid of 15,000 roots with a finite cutoff, once with
 TreeDetector(v, 8) and once with DiscDetector(v, 3, 3), and prints the
-memory tracemalloc sees allocated by the build, divided by the root count.
+memory tracemalloc sees allocated, divided by the root count: `bare` right
+after the grid is built, when no root has a detector yet, and `built` after
+finalize, which builds every root no edge reached (the outcome list
+included). The root list itself belongs to the sampler and is not counted.
 Sizes depend on the CPython version.
 """
 
@@ -14,23 +17,26 @@ from streamscope.detectors import DetectorGrid, DiscDetector, TreeDetector
 ROOTS = 15_000
 
 
-def bytes_per_root(make) -> float:
+def bytes_per_root(make):
+    roots = list(range(1, ROOTS + 1))  # the sampler's list, not counted
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
-    grid = DetectorGrid([make(v) for v in range(1, ROOTS + 1)],
-                        cutoff=ROOTS)
-    after = tracemalloc.get_traced_memory()[0]
+    grid = DetectorGrid(roots, make, cutoff=ROOTS)
+    bare = tracemalloc.get_traced_memory()[0]
+    outcomes = grid.finalize(ROOTS)
+    built = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
-    del grid  # kept alive until `after` was read
-    return (after - before) / ROOTS
+    del grid, outcomes  # kept alive until `built` was read
+    return (bare - before) / ROOTS, (built - before) / ROOTS
 
 
 def main():
-    print(f"{'detector':>8} {'k':>2} {'d':>2} {'bytes/root':>10}")
+    print(f"{'detector':>8} {'k':>2} {'d':>2} {'bare':>6} {'built':>6}")
     for name, k, d, make in (
             ("tree", 8, "-", lambda v: TreeDetector(v, 8)),
             ("disc", 3, 3, lambda v: DiscDetector(v, 3, 3))):
-        print(f"{name:>8} {k:>2} {d:>2} {bytes_per_root(make):>10.0f}")
+        bare, built = bytes_per_root(make)
+        print(f"{name:>8} {k:>2} {d:>2} {bare:>6.0f} {built:>6.0f}")
 
 
 if __name__ == "__main__":

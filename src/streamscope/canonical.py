@@ -270,8 +270,9 @@ def grow_cano_disc(g: Graph, v: int, k: int,
     BFS over collected vertices, each processed once; a popped vertex scans
     only its first min(deg, d+1) neighbors in ascending label order, and each
     scanned edge goes through exactly the stream-collection rule above.
-    Depth stability is checked after every insertion (InvariantError): an
-    accepted edge never changes the distance of an already-collected vertex.
+    Depth stability (no accepted edge moves a collected vertex's distance)
+    is checked once, at the end (InvariantError): no stored depth is ever
+    rewritten and edges never raise a distance, so a moved depth stays low.
     """
     if k < 0:
         raise InvalidKError(f"k must be >= 0, got {k}")
@@ -292,15 +293,15 @@ def grow_cano_disc(g: Graph, v: int, k: int,
                 continue
             kind, a, b = disc_classify(f, u, w)
             if kind == INSIDE or kind == NEW_VERTEX:
-                before = dict(f.dep)
                 disc_apply(f, kind, a, b)
                 order.append((u, w))
-                after = f.recompute_depths()
-                if any(after[x] != dx for x, dx in before.items()):
-                    raise InvariantError(f"accepted edge ({u},{w}) moved a "
-                                         f"collected depth")
                 if kind == NEW_VERTEX:
                     queue.append(w)
+    after = f.recompute_depths()
+    if after != f.dep:
+        x = next(x for x, dx in f.dep.items() if after[x] != dx)
+        raise InvariantError(f"an accepted edge moved collected vertex {x} "
+                             f"from depth {f.dep[x]} to {after[x]}")
     return f, order
 
 

@@ -148,11 +148,14 @@ class DetectorGrid:
 
     An edge can only change a detector whose collected structure already
     contains one of its endpoints, so the grid keeps an index from vertex to
-    the detectors watching it and touches nothing else. A dead detector
-    holds exactly the vertices it was indexed under, since it never collects
-    on the edge that kills it, so the grid unindexes it through
-    member_vertices(). Without a cutoff, results are identical to feeding
-    every edge to every detector sequentially.
+    the detectors watching it and touches nothing else. Until an edge (which
+    has the root as an endpoint) reaches roots[i], detectors[i] is None and
+    the root costs only its bucket; feed then builds make_detector(roots[i]).
+    A dead detector holds exactly the vertices it was indexed under, since it
+    never collects on the edge that kills it, so the grid unindexes it
+    through member_vertices() and keeps only its reason, all finalize needs.
+    Without a cutoff, results are identical to feeding every edge to every
+    detector sequentially.
 
     A finite cutoff, the phase threshold drawn before the pass, goes to
     every detector; one that would accept an edge past it dies as BAD_LATE.
@@ -161,21 +164,26 @@ class DetectorGrid:
     edge would have found it violating or small).
     """
 
-    def __init__(self, detectors, cutoff: float = math.inf):
-        self.detectors: List = list(detectors)
+    __slots__ = ("roots", "make_detector", "detectors", "cutoff", "index",
+                 "_slots", "peak_slots", "last_t")
+
+    def __init__(self, roots, make_detector, cutoff: float = math.inf):
+        self.roots: List[int] = roots
+        self.make_detector = make_detector
+        self.detectors: List = [None] * len(roots)
         self.cutoff = cutoff
-        # vertex -> ids of the live detectors whose structure contains it;
-        # read-only outside the grid
+        # vertex -> ids of the live detectors whose structure contains it,
+        # an unbuilt one's being its root; read-only outside the grid
         self.index: Dict[int, Set[int]] = {}
-        self._slots = 0
+        for i, v in enumerate(roots):
+            self.index.setdefault(v, set()).add(i)
+        self._slots = self.peak_slots = len(roots)
         self.last_t = 0
-        for i, det in enumerate(self.detectors):
-            det.cutoff = cutoff
-            members = det.member_vertices()
-            for v in members:
-                self.index.setdefault(v, set()).add(i)
-            self._slots += len(members)
-        self.peak_slots = self._slots
+
+    def _build(self, i: int):
+        det = self.detectors[i] = self.make_detector(self.roots[i])
+        det.cutoff = self.cutoff
+        return det
 
     def feed(self, a: int, b: int, t: int) -> None:
         if t <= self.last_t:
@@ -197,6 +205,8 @@ class DetectorGrid:
         dead = None
         for i in hit:
             det = detectors[i]
+            if det is None:
+                det = self._build(i)
             added = det.update(a, b, t)
             if added is not None:
                 index.setdefault(added, set()).add(i)
@@ -208,16 +218,24 @@ class DetectorGrid:
                     dead = []
                 dead.append(i)
         for i in dead or ():
-            members = detectors[i].member_vertices()
+            det = detectors[i]
+            members = det.member_vertices()
             for v in members:
                 bucket = index[v]
                 bucket.discard(i)
                 if not bucket:
                     del index[v]
             self._slots -= len(members)
+            detectors[i] = det.reason
 
     def finalize(self, lam: int) -> List:
-        return [det.finalize(lam) for det in self.detectors]
+        """Builds every root no edge reached, then each outcome at lam."""
+        detectors = self.detectors
+        for i, det in enumerate(detectors):
+            if det is None:
+                self._build(i)
+        return [det if isinstance(det, str) else det.finalize(lam)
+                for det in detectors]
 
 
 def _replay(det, edges: Iterable[Tuple[int, int]], lam: int):

@@ -134,16 +134,17 @@ class EstimateReport(Report):
 class RootPass:
     """One random-order pass seen by a sample of roots.
 
-    Samples the roots and builds one detector per root with make_detector.
-    Feed every qualifying edge exactly once, in stream order; the pass keeps
-    its own clock, so several passes can share one physical read of
-    differently filtered views. Its phase threshold Λ (`heads`) is one
-    tau-coin for each of the m edges the pass will feed, from the pass's own
-    coin generator: only m decides it. The pass draws Λ once, before its
-    first edge, and hands it to the grid as the cutoff past which a
-    detector's accept retires it. num_cc and num_disc take m from
-    len(stream); mst_weight's threshold views take it from the stream's
-    weight histogram, the per-threshold version of len(stream).
+    Samples the roots; the grid builds a root's detector with
+    make_detector(root) at the first edge that reaches it. Feed every
+    qualifying edge exactly once, in stream order; the pass keeps its own
+    clock, so several passes can share one physical read of differently
+    filtered views. Its phase threshold Λ (`heads`) is one tau-coin for each
+    of the m edges the pass will feed, from the pass's own coin generator:
+    only m decides it. The pass draws Λ once, before its first edge, and
+    hands it to the grid as the cutoff past which a detector's accept
+    retires it. num_cc and num_disc take m from len(stream); mst_weight's
+    threshold views take it from the stream's weight histogram, the
+    per-threshold version of len(stream).
     """
 
     def __init__(self, n: int, params: EstimatorParams,
@@ -155,7 +156,7 @@ class RootPass:
         self.t = 0
         self.m = m
         self.grid = DetectorGrid(
-            (make_detector(v) for v in sorted(self.roots)),
+            sorted(self.roots), make_detector,
             _count_heads(m, params.tau,
                          random.Random(split_seed(params.seed, "coins"))))
 
@@ -178,8 +179,9 @@ class RootPass:
         return self.grid.cutoff
 
     def outcomes(self, lam: int):
-        """(detector, outcome) pairs at the phase threshold lam."""
-        return zip(self.grid.detectors, self.grid.finalize(lam))
+        """(detector, outcome) pairs at lam; a dead entry is its reason."""
+        outcomes = self.grid.finalize(lam)
+        return zip(self.grid.detectors, outcomes)
 
 
 class NumCCRun(RootPass):

@@ -125,18 +125,22 @@ def exact_mis(g: Graph, size_cap: int = 20) -> Tuple[int, List[int]]:
 def make_component_mis_oracle(g: Graph, size_cap: int = 20):
     """Reference root-membership oracle: answers whether a root belongs to the
     lexicographically smallest maximum independent set of its own component
-    in g. Deterministic per (component, root); local views are ignored.
+    in g. Deterministic per (component, root); local views are ignored. A
+    component is solved at the first query of any of its vertices.
     """
-    comps = connected_components(g)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     cache: Dict[int, set] = {}
 
     def oracle(local_view, root: int) -> bool:
-        ci = comp_of[root]
-        hit = cache.get(ci)
+        hit = cache.get(root)
         if hit is None:
-            hit = cache[ci] = set(
-                _max_independent_sets(g, comps[ci], size_cap))
+            comp, todo = {root}, [root]
+            while todo:
+                for w in g.neighbors_sorted(todo.pop()):
+                    if w not in comp:
+                        comp.add(w)
+                        todo.append(w)
+            hit = set(_max_independent_sets(g, sorted(comp), size_cap))
+            cache.update(dict.fromkeys(comp, hit))
         return root in hit
 
     return oracle

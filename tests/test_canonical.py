@@ -2,15 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from streamscope.canonical import (DiscType, RootedDisc, RootedTree,
-                                   bounded_disc_code, cano_disc, cbfs_tree,
+from streamscope.canonical import (INSIDE, NEW_VERTEX, DiscType, RootedDisc,
+                                   RootedTree, bounded_disc_code, cano_disc,
+                                   cbfs_tree, disc_apply, disc_classify,
                                    disc_code, grow_cano_disc,
                                    is_violating_disc, is_violating_tree,
                                    materialize_disc, project_extended_disc)
 from streamscope.errors import (DiscTooLargeError, EdgeAlreadyInTreeError,
-                                InvalidKError, RadiusMismatchError)
+                                InvalidKError, InvariantError,
+                                RadiusMismatchError)
 from streamscope.graphs import Graph, edge
+from streamscope.verification import mutated_depth_gap
 
 TRIANGLE = Graph(3, [edge(1, 2), edge(1, 3), edge(2, 3)])
 P4 = Graph(4, [edge(1, 2), edge(2, 3), edge(3, 4)])
@@ -91,6 +95,58 @@ def test_cano_disc_star_leaf():
     f = cano_disc(star, 2, 2, 2)
     assert f.edges == {(1, 2), (1, 3), (1, 4)}
     assert f.degree(1) == 3
+
+
+def _moves_a_depth_at_some_insertion(g, v, k, d):
+    """grow_cano_disc's scan with a depth check after every kept edge: True
+    when some kept edge changes the BFS distance of a vertex collected
+    before it."""
+    f = RootedDisc(v, k, d)
+    queue = [v] if k > 0 else []
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for w in g.neighbors_sorted(u)[:d + 1]:
+            if w in f.adj.get(u, ()):
+                continue
+            kind, a, b = disc_classify(f, u, w)
+            if kind == INSIDE or kind == NEW_VERTEX:
+                before = dict(f.dep)
+                disc_apply(f, kind, a, b)
+                after = f.recompute_depths()
+                if any(after[x] != dx for x, dx in before.items()):
+                    return True
+                if kind == NEW_VERTEX:
+                    queue.append(w)
+    return False
+
+
+small_graphs = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                        .filter(lambda p: p[0] < p[1]), max_size=12)))
+
+
+@pytest.mark.parametrize("gap", [2, 3])
+@given(small_graphs, st.integers(1, 7), st.integers(0, 3), st.integers(1, 3))
+@example((4, {(1, 2), (1, 3), (1, 4), (2, 4)}), 1, 2, 1)
+@settings(max_examples=300, deadline=None)
+def test_depth_check_at_the_end_matches_a_check_per_insertion(gap, graph,
+                                                              v, k, d):
+    """Under the default and the mutated depth gap, grow_cano_disc raises
+    exactly when a depth check after every kept edge would."""
+    n, pairs = graph
+    g = Graph(n, [edge(a, b) for a, b in pairs])
+    v = min(v, n)
+    with mutated_depth_gap(gap):
+        expected = _moves_a_depth_at_some_insertion(g, v, k, d)
+        try:
+            grow_cano_disc(g, v, k, d)
+            raised = False
+        except InvariantError as err:
+            assert "moved collected vertex" in str(err)
+            raised = True
+    assert raised == expected
 
 
 def test_cano_disc_k0_singleton():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -110,6 +111,23 @@ def test_disc_detector_late_completion():
     assert out == BAD_LATE
 
 
+class _Root(int):
+    """A root label carrying the prebuilt detector for its position, so a
+    test can give a grid several detectors on one root: the grid calls its
+    factory with the label it holds for the position it builds."""
+
+
+def _grid(dets, cutoff=math.inf):
+    """A grid over the given detectors, each handed out when the grid first
+    builds its position."""
+    roots = []
+    for det in dets:
+        root = _Root(det.root)
+        root.det = det
+        roots.append(root)
+    return DetectorGrid(roots, operator.attrgetter("det"), cutoff)
+
+
 def test_grid_matches_sequential():
     rng = random.Random(0)
     for _ in range(40):
@@ -121,7 +139,7 @@ def test_grid_matches_sequential():
                      for k in (1, 2, 3)]
         dets_seq = [TreeDetector(v, k) for v in range(1, n + 1)
                     for k in (1, 2, 3)]
-        grid = DetectorGrid(dets_grid)
+        grid = _grid(dets_grid)
         for t, (a, b) in enumerate(stream, start=1):
             grid.feed(a, b, t)
             for det in dets_seq:
@@ -132,7 +150,7 @@ def test_grid_matches_sequential():
 
 def test_grid_peak_slot_accounting():
     dets = [TreeDetector(1, 3), TreeDetector(2, 3)]
-    grid = DetectorGrid(dets)
+    grid = _grid(dets)
     assert grid.peak_slots == 2
     grid.feed(1, 2, 1)   # both detectors accept
     assert grid.peak_slots == 4
@@ -273,7 +291,7 @@ def test_disc_grid_matches_sequential():
         mk = lambda: [DiscDetector(v, k, 2) for v in range(1, n + 1)
                       for k in (0, 1, 2)]
         dets_seq = mk()
-        grid = DetectorGrid(mk())
+        grid = _grid(mk())
         for t, (a, b) in enumerate(stream, start=1):
             grid.feed(a, b, t)
             for det in dets_seq:
@@ -305,7 +323,7 @@ def test_grid_matches_sequential_detectors(specs, seq, lam):
     before an edge of their member counts after it (a detector that dies
     on the edge keeps its count from before)."""
     reference = _make_detectors(specs)
-    grid = DetectorGrid(_make_detectors(specs))
+    grid = _grid(_make_detectors(specs))
     peak = sum(len(list(det.member_vertices())) for det in reference)
     assert grid.peak_slots == peak
     for t, (a, b) in enumerate(seq, start=1):
@@ -338,8 +356,8 @@ def test_cutoff_keeps_every_outcome_that_can_count(specs, seq, cutoff):
     it at its size). They agree on its last-accept time and collected
     vertices too. Every other outcome of the cut grid is Bad, and cutting
     never raises the peak slot count."""
-    uncut = DetectorGrid(_make_detectors(specs))
-    cut = DetectorGrid(_make_detectors(specs), cutoff)
+    uncut = _grid(_make_detectors(specs))
+    cut = _grid(_make_detectors(specs), cutoff)
     for t, (a, b) in enumerate(seq, start=1):
         uncut.feed(a, b, t)
         cut.feed(a, b, t)
@@ -360,7 +378,7 @@ def test_cutoff_keeps_every_outcome_that_can_count(specs, seq, cutoff):
 def test_cutoff_retires_a_late_accept():
     tree, disc, k1 = TreeDetector(1, 3), DiscDetector(4, 1, 2), \
         TreeDetector(6, 1)
-    grid = DetectorGrid([tree, disc, k1], cutoff=1)
+    grid = _grid([tree, disc, k1], cutoff=1)
     grid.feed(1, 2, 1)      # in phase: the tree detector keeps collecting
     assert tree.status == ACTIVE and 2 in grid.index
     grid.feed(2, 3, 2)      # a tree accept after the cutoff
@@ -381,22 +399,62 @@ def test_cutoff_retires_a_late_accept():
 def test_index_is_exactly_the_live_members(specs, seq, cutoff):
     """Cut or uncut, after every edge the index maps each vertex to the live
     detectors holding it and to nothing else, so no dead detector sits in a
-    bucket, and the slot count is the sum of the live member counts."""
-    grid = DetectorGrid(_make_detectors(specs), cutoff)
+    bucket, and the slot count is the sum of the live member counts. A
+    detector not built yet is live and holds its root."""
+    grid = _grid(_make_detectors(specs), cutoff)
+
+    def members(i):
+        det = grid.detectors[i]
+        return {grid.roots[i]} if det is None else det.member_vertices()
+
+    def is_live(i):
+        det = grid.detectors[i]
+        return det is None or (not isinstance(det, str)
+                               and det.status == ACTIVE)
+
     for t, (a, b) in enumerate(seq, start=1):
         grid.feed(a, b, t)
-        live = [i for i, det in enumerate(grid.detectors)
-                if det.status == ACTIVE]
+        live = [i for i in range(len(grid.detectors)) if is_live(i)]
         watched = {}
         for i in live:
-            for v in grid.detectors[i].member_vertices():
+            for v in members(i):
                 watched.setdefault(v, set()).add(i)
         assert grid.index == watched
-        assert all(grid.detectors[i].status == ACTIVE
-                   for bucket in grid.index.values() for i in bucket)
-        assert grid._slots == sum(
-            len(grid.detectors[i].member_vertices()) for i in live)
+        assert all(is_live(i) for bucket in grid.index.values()
+                   for i in bucket)
+        assert grid._slots == sum(len(members(i)) for i in live)
         assert grid._slots <= grid.peak_slots
+
+
+@given(detector_specs, edge_seqs, st.one_of(st.just(math.inf),
+                                            st.integers(0, 12)),
+       st.integers(0, 12))
+@example([("tree", 1, 2, 1), ("disc", 1, 1, 2), ("tree", 4, 3, 1)],
+         [(1, 2), (2, 3), (1, 3), (3, 4)], 1, 2)
+@settings(max_examples=300, deadline=None)
+def test_grid_builds_at_the_first_edge_and_keeps_a_reason(specs, seq,
+                                                          cutoff, lam):
+    """Against eager detectors fed every edge: after each edge a root's
+    entry is None exactly while no edge so far touched it, and a dead entry
+    is the reference detector's reason. The outcomes match at the end."""
+    reference = _make_detectors(specs)
+    for det in reference:
+        det.cutoff = cutoff
+    grid = _grid(_make_detectors(specs), cutoff)
+    touched = set()
+    for t, (a, b) in enumerate(seq, start=1):
+        grid.feed(a, b, t)
+        touched.update((a, b))
+        for i, ref in enumerate(reference):
+            ref.update(a, b, t)
+            entry = grid.detectors[i]
+            assert (entry is None) == (ref.root not in touched)
+            if ref.status == DEAD:
+                assert entry == ref.reason
+            elif entry is not None:
+                assert entry.status == ACTIVE
+    assert grid.finalize(lam) == [det.finalize(lam) for det in reference]
+    assert None not in grid.detectors
 
 
 def _structure(det):

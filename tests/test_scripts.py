@@ -33,8 +33,8 @@ def test_detection_rates_script_runs():
 
 
 def test_root_memory_script_runs():
-    # Two rows, tree then disc, each with a positive byte count; no bound on
-    # the bytes, which depend on the CPython version.
+    # Two rows, tree then disc, each with a positive bare and built byte
+    # count; no bound on the bytes, which depend on the CPython version.
     rows = _run_script("root_memory.py")
     assert [row[0] for row in rows] == ["tree", "disc"]
-    assert all(float(row[-1]) > 0 for row in rows)
+    assert all(float(row[-1]) > 0 and float(row[-2]) > 0 for row in rows)
