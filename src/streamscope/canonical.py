@@ -7,15 +7,15 @@ projection that recovers a degree-truncated disc from its extended form.
 
 The violating-edge rule exists once, in `classify_edge`; trees apply it over
 each vertex's largest attached child and discs over its largest anchored
-target. The stream detectors, `disc_update`, the public `is_violating_*`
-predicates, the static disc construction (`grow_cano_disc`) and the
-enumerator's tree replay all call it, which makes replaying a canonical
-edge order through a detector reproduce the construction exactly.
+target. The stream detectors, the public `is_violating_*` predicates, the
+static disc construction (`grow_cano_disc`) and the enumerator's tree
+replay all call it, which makes replaying a canonical edge order through a
+detector reproduce the construction exactly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import (
     DiscTooLargeError,
@@ -236,21 +236,6 @@ def disc_apply(f: RootedDisc, kind: str, u: int, w: int) -> None:
         f.adj[u].add(w)
     else:
         f.adj[u] = {w}
-
-
-def disc_update(f: RootedDisc, a: int, b: int) -> Union[str, int]:
-    """Apply one arriving edge: disc_classify, then disc_apply if kept.
-
-    Returns "violating", "ignored", "accepted" (an edge between two collected
-    vertices was kept), or the label of the vertex the edge attached.
-    """
-    kind, u, w = disc_classify(f, a, b)
-    if kind == OUTSIDE:
-        return "ignored"
-    if kind == VIOLATING:
-        return "violating"
-    disc_apply(f, kind, u, w)
-    return w if kind == NEW_VERTEX else "accepted"
 
 
 def is_violating_disc(f: RootedDisc, e: Edge) -> bool:

@@ -51,6 +51,11 @@ class TreeDetector(RootedTree):
         self.reason: Optional[str] = None
         self.cutoff = math.inf
 
+    @staticmethod
+    def late_reason(k: int) -> str:
+        """What a bare detector dies of on a first edge past its cutoff."""
+        return BAD_LARGE if k == 1 else BAD_LATE
+
     def update(self, a: int, b: int, t: int) -> Optional[int]:
         """Feed one edge; returns the newly collected vertex, if any."""
         if t <= self.t_seen:
@@ -111,6 +116,11 @@ class DiscDetector(RootedDisc):
         self.reason: Optional[str] = None
         self.cutoff = math.inf
 
+    @staticmethod
+    def late_reason(k: int) -> Optional[str]:
+        """As for trees, whatever d; None for k = 0, which never dies."""
+        return BAD_LATE if k else None
+
     def update(self, a: int, b: int, t: int) -> Optional[int]:
         if t <= self.t_seen:
             raise OutOfOrderTimeStepError(f"time step {t} after {self.t_seen}")
@@ -150,7 +160,9 @@ class DetectorGrid:
     contains one of its endpoints, so the grid keeps an index from vertex to
     the detectors watching it and touches nothing else. Until an edge (which
     has the root as an endpoint) reaches roots[i], detectors[i] is None and
-    the root costs only its bucket; feed then builds make_detector(roots[i]).
+    the root costs only its bucket; feed then builds make_detector(roots[i]),
+    unless the edge is past the cutoff and late, the class's late_reason, is
+    given: a detector would die on it, so the root is unindexed with late.
     A dead detector holds exactly the vertices it was indexed under, since it
     never collects on the edge that kills it, so the grid unindexes it
     through member_vertices() and keeps only its reason, all finalize needs.
@@ -164,14 +176,16 @@ class DetectorGrid:
     edge would have found it violating or small).
     """
 
-    __slots__ = ("roots", "make_detector", "detectors", "cutoff", "index",
-                 "_slots", "peak_slots", "last_t")
+    __slots__ = ("roots", "make_detector", "detectors", "cutoff", "late",
+                 "index", "_slots", "peak_slots", "last_t")
 
-    def __init__(self, roots, make_detector, cutoff: float = math.inf):
+    def __init__(self, roots, make_detector, cutoff: float = math.inf,
+                 late: Optional[str] = None):
         self.roots: List[int] = roots
         self.make_detector = make_detector
         self.detectors: List = [None] * len(roots)
         self.cutoff = cutoff
+        self.late = late
         # vertex -> ids of the live detectors whose structure contains it,
         # an unbuilt one's being its root; read-only outside the grid
         self.index: Dict[int, Set[int]] = {}
@@ -206,6 +220,11 @@ class DetectorGrid:
         for i in hit:
             det = detectors[i]
             if det is None:
+                if self.late is not None and t > self.cutoff:
+                    if dead is None:
+                        dead = []
+                    dead.append(i)
+                    continue
                 det = self._build(i)
             added = det.update(a, b, t)
             if added is not None:
@@ -219,14 +238,15 @@ class DetectorGrid:
                 dead.append(i)
         for i in dead or ():
             det = detectors[i]
-            members = det.member_vertices()
+            members = (self.roots[i],) if det is None \
+                else det.member_vertices()
             for v in members:
                 bucket = index[v]
                 bucket.discard(i)
                 if not bucket:
                     del index[v]
             self._slots -= len(members)
-            detectors[i] = det.reason
+            detectors[i] = self.late if det is None else det.reason
 
     def finalize(self, lam: int) -> List:
         """Builds every root no edge reached, then each outcome at lam."""

@@ -21,7 +21,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .canonical import DiscType, materialize_disc, project_extended_disc
 from .detectors import (BAD_SMALL, GOOD, DetectorGrid, DiscDetector,
@@ -142,13 +142,14 @@ class RootPass:
     of the m edges the pass will feed, from the pass's own coin generator:
     only m decides it. The pass draws Λ once, before its first edge, and
     hands it to the grid as the cutoff past which a detector's accept
-    retires it. num_cc and num_disc take m from len(stream); mst_weight's
-    threshold views take it from the stream's weight histogram, the
-    per-threshold version of len(stream).
+    retires it, with late (see DetectorGrid). num_cc and num_disc take m
+    from len(stream); mst_weight's threshold views take it from the
+    stream's weight histogram, the per-threshold version of len(stream).
     """
 
     def __init__(self, n: int, params: EstimatorParams,
-                 make_detector: Callable[[int], object], m: int):
+                 make_detector: Callable[[int], object], m: int,
+                 late: Optional[str] = None):
         self.n = n
         self.params = params
         self.roots, self.sample_mode = sample_roots(
@@ -158,7 +159,8 @@ class RootPass:
         self.grid = DetectorGrid(
             sorted(self.roots), make_detector,
             _count_heads(m, params.tau,
-                         random.Random(split_seed(params.seed, "coins"))))
+                         random.Random(split_seed(params.seed, "coins"))),
+            late)
 
     def feed(self, u: int, v: int) -> None:
         self.t += 1
@@ -184,13 +186,19 @@ class RootPass:
         return zip(self.grid.detectors, outcomes)
 
 
+def tree_detectors(k_max: int) -> Tuple[Callable[[int], TreeDetector], str]:
+    """The k_max-capped tree detector factory and its late reason."""
+    return lambda v: TreeDetector(v, k_max), TreeDetector.late_reason(k_max)
+
+
 class NumCCRun(RootPass):
     """One online component-count estimation instance: a k_max-capped tree
-    detector per root."""
+    detector per root, from tree_detectors(params.k_max) unless given."""
 
-    def __init__(self, n: int, params: EstimatorParams, m: int):
-        super().__init__(n, params, lambda v: TreeDetector(v, params.k_max),
-                         m)
+    def __init__(self, n: int, params: EstimatorParams, m: int,
+                 detectors=None):
+        make_detector, late = detectors or tree_detectors(params.k_max)
+        super().__init__(n, params, make_detector, m, late)
 
     def finalize(self) -> EstimateReport:
         params = self.params
@@ -279,9 +287,10 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
         if w is None or not 1 <= w <= W:
             raise BadWError(f"edge weight {w} outside [1..{W}]")
     lengths = itertools.accumulate(hist[t] for t in range(1, W))
+    detectors = tree_detectors(params.k_max)
     runs = [NumCCRun(n, replace(
-        params, seed=split_seed(params.seed, f"threshold-{t}")), m_t)
-        for t, m_t in enumerate(lengths, start=1)]
+        params, seed=split_seed(params.seed, f"threshold-{t}")), m_t,
+        detectors) for t, m_t in enumerate(lengths, start=1)]
     views = [(run, run.grid.index, run.grid.feed) for run in runs]
     counting = CountingStream(stream)
     for u, v, w in counting:
@@ -340,7 +349,8 @@ def num_disc(stream: EdgeStream, n: int, k: int, d: int,
     canonical code of whatever it collected, which is observationally the
     same as running one detector per (root, type) pair but linearly cheaper.
     """
-    run = RootPass(n, params, lambda v: DiscDetector(v, k, d), len(stream))
+    run = RootPass(n, params, lambda v: DiscDetector(v, k, d), len(stream),
+                   DiscDetector.late_reason(k))
     run.read(stream)
     indicators: Dict[DiscType, int] = {}
     witnesses: Dict[DiscType, List[int]] = {}

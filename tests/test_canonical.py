@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from disc_helpers import disc_update
 from streamscope.canonical import (INSIDE, NEW_VERTEX, DiscType, RootedDisc,
                                    RootedTree, bounded_disc_code, cano_disc,
                                    cbfs_tree, disc_apply, disc_classify,
@@ -161,7 +162,6 @@ def test_cano_disc_triangle_k1():
 
 def test_violating_disc_examples():
     f = RootedDisc(1, 2, 2)
-    from streamscope.canonical import disc_update
     assert disc_update(f, 1, 3) == 3
     assert is_violating_disc(f, edge(1, 2)) is True
 

@@ -3,10 +3,11 @@ import operator
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from disc_helpers import disc_update
 from streamscope.canonical import (RootedDisc, RootedTree, cano_disc,
-                                   disc_code, disc_update, is_violating_disc,
+                                   disc_code, is_violating_disc,
                                    is_violating_tree, materialize_disc)
 from streamscope.detectors import (ACTIVE, BAD_LARGE, BAD_LATE, BAD_SMALL,
                                    BAD_VIOLATING, DEAD, GOOD, DetectorGrid,
@@ -498,3 +499,89 @@ def test_a_killing_edge_leaves_the_structure_untouched(make, before, last,
     else:
         assert (det.status, det.reason) == (DEAD, reason)
         assert det.finalize(len(before) + 1) == reason
+
+
+bare_specs = st.one_of(
+    st.tuples(st.just("tree"), st.integers(1, 8), st.just(1)),
+    st.tuples(st.just("disc"), st.integers(0, 3), st.integers(1, 3)))
+
+
+def _factory(kind, k, d):
+    """A homogeneous grid's factory and its late reason, as the estimators
+    pass them."""
+    if kind == "tree":
+        return lambda v: TreeDetector(v, k), TreeDetector.late_reason(k)
+    return lambda v: DiscDetector(v, k, d), DiscDetector.late_reason(k)
+
+
+@given(bare_specs, st.integers(1, 10**6), st.integers(1, 10**6),
+       st.booleans(), st.integers(0, 50), st.integers(1, 50))
+@settings(max_examples=300, deadline=None)
+def test_late_reason_is_what_a_bare_detector_dies_of(spec, root, other,
+                                                     flip, cutoff, past):
+    """A bare detector's first edge past its cutoff kills it with exactly
+    late_reason, whatever the root, the other endpoint, their order and t,
+    or leaves it ACTIVE when late_reason is None. The grid skips building
+    such a root on the strength of this."""
+    assume(root != other)
+    make, late = _factory(*spec)
+    det = make(root)
+    det.cutoff = cutoff
+    a, b = (other, root) if flip else (root, other)
+    assert det.update(a, b, cutoff + past) is None
+    if late is None:
+        assert det.status == ACTIVE and det.reason is None
+    else:
+        assert (det.status, det.reason) == (DEAD, late)
+    assert det.size == 1
+
+
+@given(bare_specs, st.lists(st.integers(1, 7), min_size=1, max_size=8),
+       edge_seqs, st.integers(0, 12), st.integers(0, 12))
+@example(("tree", 3, 1), [1, 4, 6], [(1, 2), (2, 3), (4, 5), (6, 4)], 2, 2)
+@example(("tree", 1, 1), [1, 2], [(1, 2), (3, 2)], 0, 0)
+@example(("disc", 0, 1), [1, 2], [(1, 2)], 0, 0)
+@settings(max_examples=300, deadline=None)
+def test_grid_skips_a_root_first_reached_past_the_cutoff(spec, roots, seq,
+                                                         cutoff, lam):
+    """A homogeneous grid given its late reason ends as eager detectors fed
+    every edge: after each edge the same reasons, the index of the live
+    members and the peak slot count; at the end the same outcomes. Its
+    factory builds no root whose first edge came past the cutoff."""
+    make, late = _factory(*spec)
+    built = []
+
+    def counting(v):
+        built.append(v)
+        return make(v)
+
+    reference = [make(v) for v in roots]
+    for det in reference:
+        det.cutoff = cutoff
+    grid = DetectorGrid(roots, counting, cutoff, late)
+    peak = len(roots)
+    first = {}
+    for t, (a, b) in enumerate(seq, start=1):
+        live = [(det, len(det.member_vertices())) for det in reference
+                if det.status == ACTIVE]
+        grid.feed(a, b, t)
+        first.setdefault(a, t)
+        first.setdefault(b, t)
+        for det in reference:
+            det.update(a, b, t)
+        peak = max(peak, sum(len(det.member_vertices())
+                             if det.status == ACTIVE else before
+                             for det, before in live))
+        watched = {}
+        for i, (det, entry) in enumerate(zip(reference, grid.detectors)):
+            if det.status == ACTIVE:
+                for v in det.member_vertices():
+                    watched.setdefault(v, set()).add(i)
+            else:
+                assert entry == det.reason
+        assert grid.index == watched
+        assert grid.peak_slots == peak
+    assert sorted(built) == sorted(
+        v for v in roots if v in first
+        and (late is None or first[v] <= cutoff))
+    assert grid.finalize(lam) == [det.finalize(lam) for det in reference]
