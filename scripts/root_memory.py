@@ -17,11 +17,11 @@ from streamscope.detectors import DetectorGrid, DiscDetector, TreeDetector
 ROOTS = 15_000
 
 
-def bytes_per_root(make):
+def bytes_per_root(cls, args):
     roots = list(range(1, ROOTS + 1))  # the sampler's list, not counted
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
-    grid = DetectorGrid(roots, make, cutoff=ROOTS)
+    grid = DetectorGrid(roots, cls, args, cutoff=ROOTS)
     bare = tracemalloc.get_traced_memory()[0]
     outcomes = grid.finalize(ROOTS)
     built = tracemalloc.get_traced_memory()[0]
@@ -32,10 +32,10 @@ def bytes_per_root(make):
 
 def main():
     print(f"{'detector':>8} {'k':>2} {'d':>2} {'bare':>6} {'built':>6}")
-    for name, k, d, make in (
-            ("tree", 8, "-", lambda v: TreeDetector(v, 8)),
-            ("disc", 3, 3, lambda v: DiscDetector(v, 3, 3))):
-        bare, built = bytes_per_root(make)
+    for name, k, d, cls, args in (
+            ("tree", 8, "-", TreeDetector, (8,)),
+            ("disc", 3, 3, DiscDetector, (3, 3))):
+        bare, built = bytes_per_root(cls, args)
         print(f"{name:>8} {k:>2} {d:>2} {bare:>6.0f} {built:>6.0f}")
 
 

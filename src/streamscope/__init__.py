@@ -9,7 +9,7 @@ desk scale is checked: exhaustive permutation enumeration, Monte Carlo
 agreement, replay identities and exact combinatorial oracles.
 """
 
-from .canonical import (DiscType, RootedDisc, RootedTree, bounded_disc_code,
+from .canonical import (DiscType, RootedDisc, RootedTree, bounded_disc_codes,
                         cano_disc, cbfs_tree, disc_code, is_violating_disc,
                         is_violating_tree, materialize_disc,
                         project_extended_disc)

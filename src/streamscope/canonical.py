@@ -539,8 +539,3 @@ def bounded_disc_codes(g: Graph, roots: Iterable[int], k: int,
     g2 = truncate_high_degree(g, d)
     adj = {u: g2.neighbors_sorted(u) for u in range(1, g2.n + 1)}
     return [_ball_code(v, adj, k, d) for v in roots]
-
-
-def bounded_disc_code(g: Graph, v: int, k: int, d: int) -> DiscType:
-    """bounded_disc_codes for the one root v."""
-    return bounded_disc_codes(g, (v,), k, d)[0]

@@ -3,7 +3,8 @@
 Each detector is a sequential state machine fed the stream edges in time
 order, and only the time step of its last accepted edge is compared against
 the phase threshold at finalize time. An update decides before it collects,
-so a detector never collects on the edge that kills it; Bad is absorbing.
+so a detector never collects on the edge that kills it. A detector is live
+exactly while its reason is None; Bad is absorbing.
 The estimators draw the threshold before the pass and hand it to every
 detector as its cutoff: an accept past it can no longer finish Good, so the
 detector dies there as late.
@@ -12,7 +13,7 @@ detector dies there as late.
 from __future__ import annotations
 
 import math
-from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .canonical import (NEW_VERTEX, OUTSIDE, VIOLATING, RootedDisc,
                         RootedTree, classify_edge, disc_apply, disc_classify,
@@ -25,9 +26,6 @@ BAD_LARGE = "bad:large-component"
 BAD_SMALL = "bad:small-component"
 BAD_LATE = "bad:late-completion"
 
-ACTIVE = 0
-DEAD = 1
-
 
 class TreeDetector(RootedTree):
     """A canonical-BFS-consistent tree of up to k vertices rooted at v,
@@ -38,7 +36,7 @@ class TreeDetector(RootedTree):
     edge ever arrives, with the empty tree's last-accept time pinned at 0.
     """
 
-    __slots__ = ("k", "t_last", "t_seen", "status", "reason", "cutoff")
+    __slots__ = ("k", "t_last", "t_seen", "reason", "cutoff")
 
     def __init__(self, v: int, k: int):
         if k < 1:
@@ -47,7 +45,6 @@ class TreeDetector(RootedTree):
         self.k = k
         self.t_last = 0
         self.t_seen = 0
-        self.status = ACTIVE
         self.reason: Optional[str] = None
         self.cutoff = math.inf
 
@@ -61,7 +58,7 @@ class TreeDetector(RootedTree):
         if t <= self.t_seen:
             raise OutOfOrderTimeStepError(f"time step {t} after {self.t_seen}")
         self.t_seen = t
-        if self.status != ACTIVE:
+        if self.reason is not None:
             return None
         kind, u, w = classify_edge(self.dep, self.maxdep, self.children_max,
                                    a, b)
@@ -76,13 +73,10 @@ class TreeDetector(RootedTree):
                 return w
         elif kind == VIOLATING:
             self.reason = BAD_VIOLATING
-        else:
-            return None
-        self.status = DEAD
         return None
 
     def finalize(self, lam: int) -> str:
-        if self.status == DEAD:
+        if self.reason is not None:
             return self.reason
         if len(self.dep) < self.k:
             return BAD_SMALL
@@ -90,19 +84,17 @@ class TreeDetector(RootedTree):
             return BAD_LATE
         return GOOD
 
-    def member_vertices(self) -> Collection[int]:
-        return self.dep.keys()
-
 
 class DiscDetector(RootedDisc):
     """An extended (d+1)-bounded k-disc collected from a single pass.
 
     finalize returns the disc's canonical type when the last accepted edge
-    fell inside the first phase, else a Bad marker. k=0 short-circuits to the
-    singleton type regardless of the stream.
+    fell inside the first phase, else a Bad marker. At k=0 the radius budget
+    refuses every edge, so the disc stays the singleton type whatever the
+    stream.
     """
 
-    __slots__ = ("t_last", "t_seen", "status", "reason", "cutoff")
+    __slots__ = ("t_last", "t_seen", "reason", "cutoff")
 
     def __init__(self, v: int, k: int, d: int):
         if k < 0:
@@ -112,12 +104,11 @@ class DiscDetector(RootedDisc):
         super().__init__(v, k, d)
         self.t_last = 0
         self.t_seen = 0
-        self.status = ACTIVE
         self.reason: Optional[str] = None
         self.cutoff = math.inf
 
     @staticmethod
-    def late_reason(k: int) -> Optional[str]:
+    def late_reason(k: int, d: int) -> Optional[str]:
         """As for trees, whatever d; None for k = 0, which never dies."""
         return BAD_LATE if k else None
 
@@ -125,7 +116,7 @@ class DiscDetector(RootedDisc):
         if t <= self.t_seen:
             raise OutOfOrderTimeStepError(f"time step {t} after {self.t_seen}")
         self.t_seen = t
-        if self.status != ACTIVE or self.k == 0:
+        if self.reason is not None:
             return None
         kind, u, w = disc_classify(self, a, b)
         if kind == OUTSIDE:
@@ -138,19 +129,15 @@ class DiscDetector(RootedDisc):
             disc_apply(self, kind, u, w)
             self.t_last = t
             return w if kind == NEW_VERTEX else None
-        self.status = DEAD
         return None
 
     def finalize(self, lam: int):
         """DiscType when collection finished in phase, else a Bad marker."""
-        if self.status == DEAD:
+        if self.reason is not None:
             return self.reason
         if self.t_last > lam:
             return BAD_LATE
         return disc_code(self)
-
-    def member_vertices(self) -> Collection[int]:
-        return self.dep.keys()
 
 
 class DetectorGrid:
@@ -160,14 +147,14 @@ class DetectorGrid:
     contains one of its endpoints, so the grid keeps an index from vertex to
     the detectors watching it and touches nothing else. Until an edge (which
     has the root as an endpoint) reaches roots[i], detectors[i] is None and
-    the root costs only its bucket; feed then builds make_detector(roots[i]),
-    unless the edge is past the cutoff and late, the class's late_reason, is
-    given: a detector would die on it, so the root is unindexed with late.
-    A dead detector holds exactly the vertices it was indexed under, since it
-    never collects on the edge that kills it, so the grid unindexes it
-    through member_vertices() and keeps only its reason, all finalize needs.
-    Without a cutoff, results are identical to feeding every edge to every
-    detector sequentially.
+    the root costs only its bucket; feed then builds cls(roots[i], *args),
+    unless the edge is past the cutoff and the class names a late reason,
+    cls.late_reason(*args), for it: a detector would die on that edge, so
+    the root is unindexed with that reason. A dead detector holds exactly
+    the vertices it was indexed under, since it never collects on the edge
+    that kills it, so the grid unindexes it through its dep and keeps only
+    its reason, all finalize needs. Without a cutoff, results are identical
+    to feeding every edge to every detector sequentially.
 
     A finite cutoff, the phase threshold drawn before the pass, goes to
     every detector; one that would accept an edge past it dies as BAD_LATE.
@@ -176,16 +163,16 @@ class DetectorGrid:
     edge would have found it violating or small).
     """
 
-    __slots__ = ("roots", "make_detector", "detectors", "cutoff", "late",
+    __slots__ = ("roots", "cls", "args", "detectors", "cutoff", "late",
                  "index", "_slots", "peak_slots", "last_t")
 
-    def __init__(self, roots, make_detector, cutoff: float = math.inf,
-                 late: Optional[str] = None):
+    def __init__(self, roots, cls, args: tuple, cutoff: float = math.inf):
         self.roots: List[int] = roots
-        self.make_detector = make_detector
+        self.cls = cls
+        self.args = args
         self.detectors: List = [None] * len(roots)
         self.cutoff = cutoff
-        self.late = late
+        self.late: Optional[str] = cls.late_reason(*args)
         # vertex -> ids of the live detectors whose structure contains it,
         # an unbuilt one's being its root; read-only outside the grid
         self.index: Dict[int, Set[int]] = {}
@@ -195,7 +182,7 @@ class DetectorGrid:
         self.last_t = 0
 
     def _build(self, i: int):
-        det = self.detectors[i] = self.make_detector(self.roots[i])
+        det = self.detectors[i] = self.cls(self.roots[i], *self.args)
         det.cutoff = self.cutoff
         return det
 
@@ -232,14 +219,13 @@ class DetectorGrid:
                 self._slots += 1
                 if self._slots > self.peak_slots:
                     self.peak_slots = self._slots
-            elif det.status == DEAD:
+            elif det.reason is not None:
                 if dead is None:
                     dead = []
                 dead.append(i)
         for i in dead or ():
             det = detectors[i]
-            members = (self.roots[i],) if det is None \
-                else det.member_vertices()
+            members = (self.roots[i],) if det is None else det.dep
             for v in members:
                 bucket = index[v]
                 bucket.discard(i)
@@ -258,23 +244,12 @@ class DetectorGrid:
                 for det in detectors]
 
 
-def _replay(det, edges: Iterable[Tuple[int, int]], lam: int):
-    """Feed an edge sequence to one detector and finalize it at lam. A dead
-    detector is fed nothing more: Bad is absorbing."""
+def replay(det, edges: Iterable[Tuple[int, int]], lam: int):
+    """Feed an edge sequence to one detector, at time steps 1, 2, ..., and
+    finalize it at lam; returns (outcome, detector). A dead detector is fed
+    nothing more: Bad is absorbing."""
     for t, (a, b) in enumerate(edges, start=1):
         det.update(a, b, t)
-        if det.status != ACTIVE:
+        if det.reason is not None:
             break
     return det.finalize(lam), det
-
-
-def run_tree_detector(edges: Iterable[Tuple[int, int]], root: int, k: int,
-                      lam: int) -> Tuple[str, TreeDetector]:
-    """Replay a whole edge sequence through one tree detector."""
-    return _replay(TreeDetector(root, k), edges, lam)
-
-
-def run_disc_detector(edges: Iterable[Tuple[int, int]], root: int, k: int,
-                      d: int, lam: int):
-    """Replay a whole edge sequence through one disc detector."""
-    return _replay(DiscDetector(root, k, d), edges, lam)

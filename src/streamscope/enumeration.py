@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .canonical import (NEW_VERTEX, VIOLATING, DiscType, RootedTree,
                         classify_edge)
-from .detectors import BAD_LATE, GOOD, DiscDetector, TreeDetector, _replay
+from .detectors import BAD_LATE, GOOD, DiscDetector, TreeDetector, replay
 from .errors import InvariantError, TooManyEdgesError
 from .graphs import Graph
 from .streams import _count_heads, split_seed
@@ -134,7 +134,7 @@ def enumerate_outcomes(g: Graph, root: int, k: int, d: Optional[int],
             dist[key] = dist.get(key, Fraction(0)) + p
 
     for order in itertools.permutations(_edge_pairs(g)):
-        key, det = _replay(_detector(root, k, d), order, m)
+        key, det = replay(_detector(root, k, d), order, m)
         if isinstance(key, str) and key != GOOD:
             add(key, per_perm)
             continue
@@ -169,8 +169,8 @@ def montecarlo_outcomes(g: Graph, root: int, k: int, d: Optional[int], tau,
         draw = (tuple(edges), lam)
         key = outcome_of.get(draw)
         if key is None:
-            key = outcome_of[draw] = _replay(_detector(root, k, d), edges,
-                                             lam)[0]
+            key = outcome_of[draw] = replay(_detector(root, k, d), edges,
+                                            lam)[0]
         counts[key] = counts.get(key, 0) + 1
     dist = {key: Fraction(c, trials) for key, c in counts.items()}
     return OutcomeDistribution(dist, trials=trials)

@@ -21,7 +21,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .canonical import DiscType, materialize_disc, project_extended_disc
 from .detectors import (BAD_SMALL, GOOD, DetectorGrid, DiscDetector,
@@ -134,22 +134,21 @@ class EstimateReport(Report):
 class RootPass:
     """One random-order pass seen by a sample of roots.
 
-    Samples the roots; the grid builds a root's detector with
-    make_detector(root) at the first edge that reaches it. Feed every
-    qualifying edge exactly once, in stream order; the pass keeps its own
-    clock, so several passes can share one physical read of differently
-    filtered views. Its phase threshold Λ (`heads`) is one tau-coin for each
-    of the m edges the pass will feed, from the pass's own coin generator:
-    only m decides it. The pass draws Λ once, before its first edge, and
-    hands it to the grid as the cutoff past which a detector's accept
-    retires it, with late (see DetectorGrid). num_cc and num_disc take m
-    from len(stream); mst_weight's threshold views take it from the
-    stream's weight histogram, the per-threshold version of len(stream).
+    Samples the roots; the grid builds a root's detector, cls(root, *args),
+    at the first edge that reaches it. Feed every qualifying edge exactly
+    once, in stream order; the pass keeps its own clock, so several passes
+    can share one physical read of differently filtered views. Its phase
+    threshold Λ (`heads`) is one tau-coin for each of the m edges the pass
+    will feed, from the pass's own coin generator: only m decides it. The
+    pass draws Λ once, before its first edge, and hands it to the grid as
+    the cutoff past which a detector's accept retires it (see DetectorGrid).
+    num_cc and num_disc take m from len(stream); mst_weight's threshold
+    views take it from the stream's weight histogram, the per-threshold
+    version of len(stream).
     """
 
-    def __init__(self, n: int, params: EstimatorParams,
-                 make_detector: Callable[[int], object], m: int,
-                 late: Optional[str] = None):
+    def __init__(self, n: int, params: EstimatorParams, cls, args: tuple,
+                 m: int):
         self.n = n
         self.params = params
         self.roots, self.sample_mode = sample_roots(
@@ -157,10 +156,9 @@ class RootPass:
         self.t = 0
         self.m = m
         self.grid = DetectorGrid(
-            sorted(self.roots), make_detector,
+            sorted(self.roots), cls, args,
             _count_heads(m, params.tau,
-                         random.Random(split_seed(params.seed, "coins"))),
-            late)
+                         random.Random(split_seed(params.seed, "coins"))))
 
     def feed(self, u: int, v: int) -> None:
         self.t += 1
@@ -186,19 +184,12 @@ class RootPass:
         return zip(self.grid.detectors, outcomes)
 
 
-def tree_detectors(k_max: int) -> Tuple[Callable[[int], TreeDetector], str]:
-    """The k_max-capped tree detector factory and its late reason."""
-    return lambda v: TreeDetector(v, k_max), TreeDetector.late_reason(k_max)
-
-
 class NumCCRun(RootPass):
     """One online component-count estimation instance: a k_max-capped tree
-    detector per root, from tree_detectors(params.k_max) unless given."""
+    detector per root."""
 
-    def __init__(self, n: int, params: EstimatorParams, m: int,
-                 detectors=None):
-        make_detector, late = detectors or tree_detectors(params.k_max)
-        super().__init__(n, params, make_detector, m, late)
+    def __init__(self, n: int, params: EstimatorParams, m: int):
+        super().__init__(n, params, TreeDetector, (params.k_max,), m)
 
     def finalize(self) -> EstimateReport:
         params = self.params
@@ -287,10 +278,9 @@ def mst_weight(stream: EdgeStream, n: int, W: int,
         if w is None or not 1 <= w <= W:
             raise BadWError(f"edge weight {w} outside [1..{W}]")
     lengths = itertools.accumulate(hist[t] for t in range(1, W))
-    detectors = tree_detectors(params.k_max)
     runs = [NumCCRun(n, replace(
-        params, seed=split_seed(params.seed, f"threshold-{t}")), m_t,
-        detectors) for t, m_t in enumerate(lengths, start=1)]
+        params, seed=split_seed(params.seed, f"threshold-{t}")), m_t)
+        for t, m_t in enumerate(lengths, start=1)]
     views = [(run, run.grid.index, run.grid.feed) for run in runs]
     counting = CountingStream(stream)
     for u, v, w in counting:
@@ -349,8 +339,7 @@ def num_disc(stream: EdgeStream, n: int, k: int, d: int,
     canonical code of whatever it collected, which is observationally the
     same as running one detector per (root, type) pair but linearly cheaper.
     """
-    run = RootPass(n, params, lambda v: DiscDetector(v, k, d), len(stream),
-                   DiscDetector.late_reason(k))
+    run = RootPass(n, params, DiscDetector, (k, d), len(stream))
     run.read(stream)
     indicators: Dict[DiscType, int] = {}
     witnesses: Dict[DiscType, List[int]] = {}

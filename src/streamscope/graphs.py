@@ -311,21 +311,36 @@ def truncate_high_degree(g: Graph, d: int) -> Graph:
     return Graph(g.n, kept, weighted=g.weighted, W=g.W)
 
 
-def connected_components(g: Graph) -> list:
-    """Components as sorted vertex lists (includes isolated vertices)."""
-    parent = list(range(g.n + 1))
+class UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n + 1))
+        self.size = [1] * (n + 1)
+        self.count = n
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
         return x
 
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.count -= 1
+        return True
+
+
+def connected_components(g: Graph) -> list:
+    """Components as sorted vertex lists (includes isolated vertices)."""
+    uf = UnionFind(g.n)
     for e in g.edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
+        uf.union(e.u, e.v)
     comps = {}
     for v in range(1, g.n + 1):
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(uf.find(v), []).append(v)
     return sorted(comps.values())

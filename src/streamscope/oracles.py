@@ -2,47 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Tuple
 
 from .canonical import DiscType, bounded_disc_codes, cano_disc, disc_code
 from .errors import ComponentTooLargeError, DisconnectedError
-from .graphs import Graph, connected_components
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.size = [1] * (n + 1)
-        self.count = n
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
+from .graphs import Graph, UnionFind, connected_components
 
 
 def exact_cc_histogram(g: Graph) -> Dict[int, int]:
     """Component-size histogram {size: count}, isolated vertices included."""
-    uf = UnionFind(g.n)
-    for e in g.edges:
-        uf.union(e.u, e.v)
-    sizes: Dict[int, int] = {}
-    for v in range(1, g.n + 1):
-        if uf.find(v) == v:
-            sizes[uf.size[v]] = sizes.get(uf.size[v], 0) + 1
-    return sizes
+    return dict(Counter(map(len, connected_components(g))))
 
 
 def threshold_components(g: Graph, t: int) -> int:

@@ -29,7 +29,7 @@ from . import canonical
 from .canonical import (bounded_disc_codes, cano_disc, cbfs_tree,
                         grow_cano_disc, project_extended_disc)
 from .corpus import all_graphs_up_to, random_connected_weighted, random_graph
-from .detectors import (BAD_SMALL, GOOD, run_disc_detector, run_tree_detector)
+from .detectors import BAD_SMALL, GOOD, DiscDetector, TreeDetector, replay
 from .enumeration import (binomial_tails, enumerate_outcomes,
                           montecarlo_outcomes, three_sigma,
                           tree_replay_profile, within_three_sigma,
@@ -272,7 +272,7 @@ def check_canonical_replay(n_graphs: int = 500, seed: int = 31,
                 tree_cases += 1
                 ct = cbfs_tree(g, v, k)
                 order = ct.edge_order
-                out, det = run_tree_detector(order, v, k, len(order))
+                out, det = replay(TreeDetector(v, k), order, len(order))
                 same = det.dep == ct.dep and det.edge_order == ct.edge_order
                 want = GOOD if ct.size == k else BAD_SMALL
                 if out != want or not same:
@@ -283,7 +283,8 @@ def check_canonical_replay(n_graphs: int = 500, seed: int = 31,
                 for d in range(1, disc_d + 1):
                     disc_cases += 1
                     cd, order = grow_cano_disc(g, v, k, d)
-                    out, det = run_disc_detector(order, v, k, d, len(order))
+                    out, det = replay(DiscDetector(v, k, d), order,
+                                      len(order))
                     if (isinstance(out, str) or det.adj != cd.adj
                             or det.dep != cd.dep):
                         return CheckResult(

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from disc_helpers import disc_update
 from streamscope.canonical import (INSIDE, NEW_VERTEX, DiscType, RootedDisc,
-                                   RootedTree, bounded_disc_code, cano_disc,
+                                   RootedTree, bounded_disc_codes, cano_disc,
                                    cbfs_tree, disc_apply, disc_classify,
                                    disc_code, grow_cano_disc,
                                    is_violating_disc, is_violating_tree,
@@ -250,7 +250,8 @@ def test_projection_examples():
     assert project_extended_disc(g_ext, 1, 2).num_vertices == 1
 
     tri_ext = cano_disc(TRIANGLE, 1, 2, 2)
-    assert project_extended_disc(tri_ext, 1, 2) == bounded_disc_code(TRIANGLE, 1, 1, 2)
+    assert project_extended_disc(tri_ext, 1, 2) == \
+        bounded_disc_codes(TRIANGLE, (1,), 1, 2)[0]
 
     # high-degree root projects to the singleton
     center_ext = cano_disc(star, 1, 2, 2)

@@ -1,5 +1,4 @@
 import math
-import operator
 import random
 
 import pytest
@@ -9,19 +8,18 @@ from disc_helpers import disc_update
 from streamscope.canonical import (RootedDisc, RootedTree, cano_disc,
                                    disc_code, is_violating_disc,
                                    is_violating_tree, materialize_disc)
-from streamscope.detectors import (ACTIVE, BAD_LARGE, BAD_LATE, BAD_SMALL,
-                                   BAD_VIOLATING, DEAD, GOOD, DetectorGrid,
-                                   DiscDetector, TreeDetector,
-                                   run_disc_detector, run_tree_detector)
+from streamscope.detectors import (BAD_LARGE, BAD_LATE, BAD_SMALL,
+                                   BAD_VIOLATING, GOOD, DetectorGrid,
+                                   DiscDetector, TreeDetector, replay)
 from streamscope.errors import InvalidKError, OutOfOrderTimeStepError
 from streamscope.graphs import Graph, edge
 
 
 def test_new_detector_state():
     det = TreeDetector(3, 2)
-    assert det.status == ACTIVE and det.size == 1 and det.t_last == 0
+    assert det.reason is None and det.size == 1 and det.t_last == 0
     det1 = TreeDetector(1, 1)
-    assert det1.status == ACTIVE
+    assert det1.reason is None
     with pytest.raises(InvalidKError):
         TreeDetector(1, 0)
 
@@ -30,14 +28,14 @@ def test_update_accepts_extension():
     det = TreeDetector(1, 3)
     det.update(1, 2, 1)
     det.update(2, 3, 5)
-    assert det.dep[3] == 2 and det.t_last == 5 and det.status == ACTIVE
+    assert det.dep[3] == 2 and det.t_last == 5 and det.reason is None
 
 
 def test_update_violating_label():
     det = TreeDetector(1, 3)
     det.update(1, 3, 1)
     det.update(1, 2, 2)
-    assert det.status == DEAD and det.reason == BAD_VIOLATING
+    assert det.reason == BAD_VIOLATING
 
 
 def test_update_ignores_equal_depth_pair():
@@ -45,7 +43,7 @@ def test_update_ignores_equal_depth_pair():
     det.update(1, 2, 1)
     det.update(1, 3, 2)
     det.update(2, 3, 3)
-    assert det.status == ACTIVE and det.finalize(3) == GOOD
+    assert det.reason is None and det.finalize(3) == GOOD
 
 
 def test_update_out_of_order_time():
@@ -59,7 +57,7 @@ def test_bad_is_absorbing():
     det = TreeDetector(1, 2)
     det.update(1, 3, 1)
     det.update(1, 2, 2)          # violating: child 3 outranks 2
-    assert det.status == DEAD
+    assert det.reason is not None
     det.update(2, 3, 3)          # no-op
     assert det.reason == BAD_VIOLATING
     assert det.finalize(3) == BAD_VIOLATING
@@ -73,15 +71,15 @@ def test_finalize_isolated_k1_good():
 def test_k1_dies_on_any_incident_edge():
     det = TreeDetector(5, 1)
     det.update(5, 2, 1)
-    assert det.status == DEAD and det.reason == BAD_LARGE
+    assert det.reason == BAD_LARGE
 
 
 def test_finalize_triangle_traces():
-    out, _ = run_tree_detector([(1, 2), (1, 3), (2, 3)], 1, 3, 3)
+    out, _ = replay(TreeDetector(1, 3), [(1, 2), (1, 3), (2, 3)], 3)
     assert out == GOOD
-    out, _ = run_tree_detector([(1, 2), (1, 3), (2, 3)], 1, 3, 1)
+    out, _ = replay(TreeDetector(1, 3), [(1, 2), (1, 3), (2, 3)], 1)
     assert out == BAD_LATE
-    out, _ = run_tree_detector([(1, 2)], 1, 3, 1)
+    out, _ = replay(TreeDetector(1, 3), [(1, 2)], 1)
     assert out == BAD_SMALL
 
 
@@ -94,28 +92,42 @@ def test_disc_detector_k0_returns_singleton():
 
 def test_disc_detector_star_canonical_stream():
     star = Graph(5, [edge(1, 2), edge(1, 3), edge(1, 4), edge(1, 5)])
-    out, det = run_disc_detector([(2, 1), (1, 3), (1, 4), (1, 5)], 2, 2, 2, 4)
+    out, det = replay(DiscDetector(2, 2, 2), [(2, 1), (1, 3), (1, 4), (1, 5)],
+                      4)
     assert out == disc_code(cano_disc(star, 2, 2, 2))
 
 
 def test_disc_detector_hijacked_triangle():
     # (2,3) passes while both endpoints are unknown, so the detector later
     # reports the 2-edge star type, not the triangle.
-    out, det = run_disc_detector([(2, 3), (1, 2), (1, 3)], 1, 1, 2, 3)
+    out, det = replay(DiscDetector(1, 1, 2), [(2, 3), (1, 2), (1, 3)], 3)
     star3 = Graph(3, [edge(1, 2), edge(1, 3)])
     assert out == disc_code(cano_disc(star3, 1, 1, 2))
     assert det.edges == {(1, 2), (1, 3)}
 
 
 def test_disc_detector_late_completion():
-    out, _ = run_disc_detector([(1, 2), (1, 3)], 1, 1, 2, 1)
+    out, _ = replay(DiscDetector(1, 1, 2), [(1, 2), (1, 3)], 1)
     assert out == BAD_LATE
 
 
 class _Root(int):
     """A root label carrying the prebuilt detector for its position, so a
-    test can give a grid several detectors on one root: the grid calls its
-    factory with the label it holds for the position it builds."""
+    test can give a grid several detectors on one root: the grid builds a
+    position from the label it holds for it."""
+
+
+class _Given:
+    """A detector class for mixed grids: building it from a _Root label
+    returns the detector the label carries. It names no late reason, so the
+    grid builds every root an edge reaches."""
+
+    def __new__(cls, root):
+        return root.det
+
+    @staticmethod
+    def late_reason():
+        return None
 
 
 def _grid(dets, cutoff=math.inf):
@@ -126,7 +138,7 @@ def _grid(dets, cutoff=math.inf):
         root = _Root(det.root)
         root.det = det
         roots.append(root)
-    return DetectorGrid(roots, operator.attrgetter("det"), cutoff)
+    return DetectorGrid(roots, _Given, (), cutoff)
 
 
 def test_grid_matches_sequential():
@@ -170,16 +182,16 @@ def test_detector_matches_standalone_predicate(seq, root, k):
     det = TreeDetector(root, k)
     shadow = RootedTree(root)
     for t, (a, b) in enumerate(seq, start=1):
-        if det.status != ACTIVE:
+        if det.reason is not None:
             break
         in_tree = (min(a, b), max(a, b)) in shadow.edge_set()
         if not in_tree:
             expected_violating = is_violating_tree(shadow, edge(a, b))
         det.update(a, b, t)
         if not in_tree and expected_violating:
-            assert det.status == DEAD and det.reason == BAD_VIOLATING
+            assert det.reason == BAD_VIOLATING
             break
-        if det.status == ACTIVE and det.t_last == t:
+        if det.reason is None and det.t_last == t:
             shadow.attach(*det.edge_order[-1])
 
 
@@ -194,7 +206,7 @@ def test_profile_reduction_matches_detector(seq, root, lam):
     booked = dict(_pending_cells(seq, [root], 5))
     assert len(booked) <= 1
     for k in range(1, 6):
-        out, _ = run_tree_detector(seq, root, k, lam)
+        out, _ = replay(TreeDetector(root, k), seq, lam)
         t_last = booked.get((root, k))
         assert (out == GOOD) == (t_last is not None and t_last <= lam), k
 
@@ -224,7 +236,7 @@ def test_montecarlo_good_counts_matches_fresh_detectors(n, pairs):
         perm_rng.shuffle(order)
         lam = _count_heads(len(order), tau, coin_rng)
         for v, k in want:
-            if run_tree_detector(order, v, k, lam)[0] == GOOD:
+            if replay(TreeDetector(v, k), order, lam)[0] == GOOD:
                 want[(v, k)] += 1
     assert got == want
     assert sum(got.values()) > 0
@@ -236,7 +248,7 @@ def test_disc_detector_matches_standalone_predicate(seq, root, k, d):
     det = DiscDetector(root, k, d)
     shadow = RootedDisc(root, k, d)
     for t, (a, b) in enumerate(seq, start=1):
-        if det.status != ACTIVE or k == 0:
+        if det.reason is not None:
             break
         if (min(a, b), max(a, b)) in shadow.edges:
             det.update(a, b, t)
@@ -244,7 +256,7 @@ def test_disc_detector_matches_standalone_predicate(seq, root, k, d):
         expected = is_violating_disc(shadow, edge(a, b))
         added = det.update(a, b, t)
         if expected:
-            assert det.status == DEAD and det.reason == BAD_VIOLATING
+            assert det.reason == BAD_VIOLATING
             break
         res = disc_update(shadow, a, b)
         assert shadow.edges == det.edges
@@ -276,7 +288,7 @@ def test_bare_disc_has_no_adj_entry():
 @given(edge_seqs, st.integers(1, 7), st.integers(1, 5), st.integers(0, 12))
 @settings(max_examples=200, deadline=None)
 def test_good_implies_full_size_tree(seq, root, k, lam):
-    out, det = run_tree_detector(seq, root, k, lam)
+    out, det = replay(TreeDetector(root, k), seq, lam)
     if out == GOOD:
         assert det.size == k
         assert det.t_last <= lam
@@ -325,21 +337,20 @@ def test_grid_matches_sequential_detectors(specs, seq, lam):
     on the edge keeps its count from before)."""
     reference = _make_detectors(specs)
     grid = _grid(_make_detectors(specs))
-    peak = sum(len(list(det.member_vertices())) for det in reference)
+    peak = sum(len(det.dep) for det in reference)
     assert grid.peak_slots == peak
     for t, (a, b) in enumerate(seq, start=1):
-        live = [(det, len(list(det.member_vertices()))) for det in reference
-                if det.status == ACTIVE]
+        live = [(det, len(det.dep)) for det in reference
+                if det.reason is None]
         grid.feed(a, b, t)
         for det in reference:
             det.update(a, b, t)
-        peak = max(peak, sum(len(list(det.member_vertices()))
-                             if det.status == ACTIVE else before
+        peak = max(peak, sum(len(det.dep) if det.reason is None else before
                              for det, before in live))
         watched = {}
         for i, det in enumerate(reference):
-            if det.status == ACTIVE:
-                for v in det.member_vertices():
+            if det.reason is None:
+                for v in det.dep:
                     watched.setdefault(v, set()).add(i)
         assert grid.index == watched
         assert grid.peak_slots == peak
@@ -369,8 +380,7 @@ def test_cutoff_keeps_every_outcome_that_can_count(specs, seq, cutoff):
                 want == BAD_SMALL and ref.t_last <= cutoff):
             assert got == want
             assert det.t_last == ref.t_last
-            assert list(det.member_vertices()) == \
-                list(ref.member_vertices())
+            assert list(det.dep) == list(ref.dep)
         else:
             assert isinstance(got, str) and got != GOOD
     assert cut.peak_slots <= uncut.peak_slots
@@ -381,13 +391,13 @@ def test_cutoff_retires_a_late_accept():
         TreeDetector(6, 1)
     grid = _grid([tree, disc, k1], cutoff=1)
     grid.feed(1, 2, 1)      # in phase: the tree detector keeps collecting
-    assert tree.status == ACTIVE and 2 in grid.index
+    assert tree.reason is None and 2 in grid.index
     grid.feed(2, 3, 2)      # a tree accept after the cutoff
     grid.feed(4, 5, 3)      # a disc accept after the cutoff
     grid.feed(6, 7, 4)      # too large already: the reason stays
-    assert (tree.status, tree.reason) == (DEAD, BAD_LATE)
-    assert (disc.status, disc.reason) == (DEAD, BAD_LATE)
-    assert (k1.status, k1.reason) == (DEAD, BAD_LARGE)
+    assert tree.reason == BAD_LATE
+    assert disc.reason == BAD_LATE
+    assert k1.reason == BAD_LARGE
     assert grid.index == {}
     assert grid.finalize(1) == [BAD_LATE, BAD_LATE, BAD_LARGE]
 
@@ -406,12 +416,12 @@ def test_index_is_exactly_the_live_members(specs, seq, cutoff):
 
     def members(i):
         det = grid.detectors[i]
-        return {grid.roots[i]} if det is None else det.member_vertices()
+        return {grid.roots[i]} if det is None else det.dep
 
     def is_live(i):
         det = grid.detectors[i]
         return det is None or (not isinstance(det, str)
-                               and det.status == ACTIVE)
+                               and det.reason is None)
 
     for t, (a, b) in enumerate(seq, start=1):
         grid.feed(a, b, t)
@@ -450,10 +460,10 @@ def test_grid_builds_at_the_first_edge_and_keeps_a_reason(specs, seq,
             ref.update(a, b, t)
             entry = grid.detectors[i]
             assert (entry is None) == (ref.root not in touched)
-            if ref.status == DEAD:
+            if ref.reason is not None:
                 assert entry == ref.reason
             elif entry is not None:
-                assert entry.status == ACTIVE
+                assert entry.reason is None
     assert grid.finalize(lam) == [det.finalize(lam) for det in reference]
     assert None not in grid.detectors
 
@@ -489,15 +499,15 @@ def test_a_killing_edge_leaves_the_structure_untouched(make, before, last,
     det.cutoff = cutoff
     for t, (a, b) in enumerate(before, start=1):
         assert det.update(a, b, t) is not None
-    assert det.status == ACTIVE
+    assert det.reason is None
     kept = _structure(det)
     t_last = det.t_last
     assert det.update(*last, len(before) + 1) is None
     assert _structure(det) == kept and det.t_last == t_last
     if reason is None:
-        assert det.status == ACTIVE and det.reason is None
+        assert det.reason is None
     else:
-        assert (det.status, det.reason) == (DEAD, reason)
+        assert det.reason == reason
         assert det.finalize(len(before) + 1) == reason
 
 
@@ -506,12 +516,12 @@ bare_specs = st.one_of(
     st.tuples(st.just("disc"), st.integers(0, 3), st.integers(1, 3)))
 
 
-def _factory(kind, k, d):
-    """A homogeneous grid's factory and its late reason, as the estimators
-    pass them."""
+def _class_and_args(kind, k, d):
+    """A homogeneous grid's detector class and constructor arguments, as the
+    estimators pass them."""
     if kind == "tree":
-        return lambda v: TreeDetector(v, k), TreeDetector.late_reason(k)
-    return lambda v: DiscDetector(v, k, d), DiscDetector.late_reason(k)
+        return TreeDetector, (k,)
+    return DiscDetector, (k, d)
 
 
 @given(bare_specs, st.integers(1, 10**6), st.integers(1, 10**6),
@@ -521,19 +531,35 @@ def test_late_reason_is_what_a_bare_detector_dies_of(spec, root, other,
                                                      flip, cutoff, past):
     """A bare detector's first edge past its cutoff kills it with exactly
     late_reason, whatever the root, the other endpoint, their order and t,
-    or leaves it ACTIVE when late_reason is None. The grid skips building
+    or leaves it live when late_reason is None. The grid skips building
     such a root on the strength of this."""
     assume(root != other)
-    make, late = _factory(*spec)
-    det = make(root)
+    cls, args = _class_and_args(*spec)
+    late = cls.late_reason(*args)
+    det = cls(root, *args)
     det.cutoff = cutoff
     a, b = (other, root) if flip else (root, other)
     assert det.update(a, b, cutoff + past) is None
-    if late is None:
-        assert det.status == ACTIVE and det.reason is None
-    else:
-        assert (det.status, det.reason) == (DEAD, late)
+    assert det.reason == late
     assert det.size == 1
+
+
+@given(st.integers(1, 7), st.integers(1, 3), edge_seqs,
+       st.one_of(st.just(math.inf), st.integers(0, 12)), st.integers(0, 12))
+@settings(max_examples=300, deadline=None)
+def test_k0_disc_stays_alive_and_bare(root, d, seq, cutoff, lam):
+    """At k = 0 the radius budget refuses every edge: whatever the edges and
+    the cutoff, the disc stays live and holds its root alone, collects
+    nothing, and finalizes to the singleton type."""
+    det = DiscDetector(root, 0, d)
+    det.cutoff = cutoff
+    assert DiscDetector.late_reason(0, d) is None
+    for t, (a, b) in enumerate(seq, start=1):
+        assert det.update(a, b, t) is None
+        assert det.reason is None
+        assert det.dep == {root: 0} and det.adj == {} and det.t_last == 0
+    assert det.finalize(lam) == disc_code(RootedDisc(root, 0, d))
+    assert det.finalize(lam).num_vertices == 1
 
 
 @given(bare_specs, st.lists(st.integers(1, 7), min_size=1, max_size=8),
@@ -544,38 +570,42 @@ def test_late_reason_is_what_a_bare_detector_dies_of(spec, root, other,
 @settings(max_examples=300, deadline=None)
 def test_grid_skips_a_root_first_reached_past_the_cutoff(spec, roots, seq,
                                                          cutoff, lam):
-    """A homogeneous grid given its late reason ends as eager detectors fed
-    every edge: after each edge the same reasons, the index of the live
-    members and the peak slot count; at the end the same outcomes. Its
-    factory builds no root whose first edge came past the cutoff."""
-    make, late = _factory(*spec)
+    """A homogeneous grid ends as eager detectors fed every edge: after each
+    edge the same reasons, the index of the live members and the peak slot
+    count; at the end the same outcomes. It builds no root whose first edge
+    came past the cutoff, unless its class names no late reason."""
+    cls, args = _class_and_args(*spec)
+    late = cls.late_reason(*args)
     built = []
 
-    def counting(v):
-        built.append(v)
-        return make(v)
+    class Counting(cls):
+        __slots__ = ()
 
-    reference = [make(v) for v in roots]
+        def __init__(self, v, *args):
+            built.append(v)
+            super().__init__(v, *args)
+
+    reference = [cls(v, *args) for v in roots]
     for det in reference:
         det.cutoff = cutoff
-    grid = DetectorGrid(roots, counting, cutoff, late)
+    grid = DetectorGrid(roots, Counting, args, cutoff)
+    assert grid.late == late
     peak = len(roots)
     first = {}
     for t, (a, b) in enumerate(seq, start=1):
-        live = [(det, len(det.member_vertices())) for det in reference
-                if det.status == ACTIVE]
+        live = [(det, len(det.dep)) for det in reference
+                if det.reason is None]
         grid.feed(a, b, t)
         first.setdefault(a, t)
         first.setdefault(b, t)
         for det in reference:
             det.update(a, b, t)
-        peak = max(peak, sum(len(det.member_vertices())
-                             if det.status == ACTIVE else before
+        peak = max(peak, sum(len(det.dep) if det.reason is None else before
                              for det, before in live))
         watched = {}
         for i, (det, entry) in enumerate(zip(reference, grid.detectors)):
-            if det.status == ACTIVE:
-                for v in det.member_vertices():
+            if det.reason is None:
+                for v in det.dep:
                     watched.setdefault(v, set()).add(i)
             else:
                 assert entry == det.reason

@@ -106,7 +106,7 @@ def test_montecarlo_counts_every_trial(g, root, k, d):
     fresh replay on every trial, drawn from the same generators."""
     import random
 
-    from streamscope.detectors import DiscDetector, TreeDetector, _replay
+    from streamscope.detectors import DiscDetector, TreeDetector, replay
     from streamscope.streams import _count_heads, split_seed
 
     trials, seed, tau = 3000, 23, 0.4
@@ -118,7 +118,7 @@ def test_montecarlo_counts_every_trial(g, root, k, d):
         perm_rng.shuffle(edges)
         lam = _count_heads(len(edges), tau, coin_rng)
         det = TreeDetector(root, k) if d is None else DiscDetector(root, k, d)
-        key = _replay(det, edges, lam)[0]
+        key = replay(det, edges, lam)[0]
         counts[key] = counts.get(key, 0) + 1
     mc = montecarlo_outcomes(g, root, k, d, tau, trials, seed)
     assert mc.exact == {key: Fraction(c, trials) for key, c in counts.items()}

@@ -14,8 +14,8 @@ from streamscope.canonical import (DiscType, disc_code, materialize_disc,
 from streamscope.corpus import (mixed_components, random_connected_weighted,
                                random_graph, random_small_components,
                                weighted_path)
-from streamscope.detectors import (GOOD, DiscDetector, run_disc_detector,
-                                   run_tree_detector)
+from streamscope.detectors import (GOOD, DiscDetector, TreeDetector,
+                                   replay)
 from streamscope.errors import (AllEstimatesNonpositiveError, BadWError,
                                 EmptyVertexSetError, RadiusMismatchError,
                                 StreamscopeError, UnweightedStreamError)
@@ -99,7 +99,7 @@ def test_one_detector_per_root_matches_one_per_target_size(n, m, seed, tau,
     want = {k: 0 for k in range(1, k_max + 1)}
     for v, weight in run.roots.items():
         for k in range(1, k_max + 1):
-            if run_tree_detector(order, v, k, run.heads)[0] == GOOD:
+            if replay(TreeDetector(v, k), order, run.heads)[0] == GOOD:
                 want[k] += weight
     assert rep.indicator_counts == want
     assert rep.peak_tree_slots <= s * (k_max + 1)
@@ -432,12 +432,12 @@ def test_num_disc_books_what_an_uncut_replay_per_root_books(n, m, seed, tau,
     stream = shuffle_stream(g, split_seed(seed, "permutation"))
     params = EstimatorParams(tau=tau, s=s, seed=seed)
     rep = num_disc(stream, g.n, k, d, params)
-    run = RootPass(g.n, params, lambda v: DiscDetector(v, k, d), g.m)
+    run = RootPass(g.n, params, DiscDetector, (k, d), g.m)
     run.read(stream)
     order = [(e.u, e.v) for e in stream.edges]
     want, witnesses = {}, {}
     for v, weight in run.roots.items():
-        outcome = run_disc_detector(order, v, k, d, run.heads)[0]
+        outcome = replay(DiscDetector(v, k, d), order, run.heads)[0]
         if isinstance(outcome, DiscType):
             want[outcome] = want.get(outcome, 0) + weight
             witnesses.setdefault(outcome, []).append(v)

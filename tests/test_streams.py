@@ -83,7 +83,7 @@ def test_root_pass_heads_is_the_coin_count():
     for seed, tau in ((3, 0.3), (8, 0.5)):
         params = EstimatorParams(tau=tau, s=10, k_max=3, seed=seed)
         want = _count_heads(g.m, tau, random.Random(split_seed(seed, "coins")))
-        rp = RootPass(g.n, params, lambda v: TreeDetector(v, 3), g.m)
+        rp = RootPass(g.n, params, TreeDetector, (3,), g.m)
         assert rp.grid.cutoff == want
         rp.read(shuffle_stream(g, seed))
         assert rp.t == g.m and rp.heads == want
@@ -93,7 +93,7 @@ def test_root_pass_heads_is_the_coin_count():
 def test_root_pass_fed_other_than_m_edges_is_a_typed_error(m):
     g = Graph(6, [edge(u, u + 1) for u in range(1, 6)])
     params = EstimatorParams(tau=0.5, s=3, k_max=2, seed=1)
-    rp = RootPass(g.n, params, lambda v: TreeDetector(v, 2), m)
+    rp = RootPass(g.n, params, TreeDetector, (2,), m)
     for e in g.edges:
         rp.feed(e.u, e.v)
     with pytest.raises(InvariantError, match=f"fed 5 edges .* for {m}"):
@@ -169,8 +169,8 @@ def test_time_steps_run_one_to_m():
     # a stream yields bare edges; the pass that reads it numbers them 1..m
     s = shuffle_stream(TRIANGLE, 3)
     assert list(s) == list(s.edges)
-    rp = RootPass(TRIANGLE.n, EstimatorParams(tau=0.5, s=3),
-                  lambda v: TreeDetector(v, 3), s.m)
+    rp = RootPass(TRIANGLE.n, EstimatorParams(tau=0.5, s=3), TreeDetector,
+                  (3,), s.m)
     fed = []
     # the grid has __slots__, so the pass gets a stand-in that only records
     rp.grid = SimpleNamespace(feed=lambda a, b, t: fed.append(((a, b), t)))
