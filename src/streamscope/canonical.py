@@ -5,12 +5,13 @@ trees, canonical extended bounded discs, the rule that witnesses a collected
 structure as non-canonical, canonical codes for rooted graphs, and the
 projection that recovers a degree-truncated disc from its extended form.
 
-The violating-edge rule exists once, in `classify_edge`; trees apply it over
-each vertex's largest attached child and discs over its largest anchored
-target. The stream detectors, the public `is_violating_*` predicates, the
-static disc construction (`grow_cano_disc`) and the enumerator's tree
-replay all call it, which makes replaying a canonical edge order through a
-detector reproduce the construction exactly.
+Trees, discs and the detectors built on them grow through one base,
+`Rooted`, which holds exactly what the violating-edge rule reads and the one
+`attach` that writes it. The rule exists once, in `classify_edge`. The
+stream detectors, the public `is_violating_*` predicates, the static disc
+construction (`grow_cano_disc`) and the enumerator's tree replay all call
+it, which makes replaying a canonical edge order through a detector
+reproduce the construction exactly.
 """
 
 from __future__ import annotations
@@ -35,40 +36,54 @@ DISC_SIZE_CAP = 64
 
 
 # ---------------------------------------------------------------------------
-# Rooted trees
+# The rooted core and rooted trees
 
 
-class RootedTree:
-    """Incrementally grown rooted tree with the bookkeeping the violating
-    predicate needs: depths, per-vertex largest attached-child label, and the
-    maximum depth present.
+class Rooted:
+    """A rooted structure grown one new vertex at a time: exactly the state
+    the violating-edge rule reads. dep maps each collected vertex to its
+    depth, largest maps a vertex to the largest label of a new vertex it has
+    attached, and maxdep is the deepest level present.
     """
 
-    __slots__ = ("root", "dep", "children_max", "maxdep", "edge_order")
+    __slots__ = ("root", "dep", "largest", "maxdep")
 
     def __init__(self, root: int):
         self.root = root
         self.dep: Dict[int, int] = {root: 0}
-        self.children_max: Dict[int, int] = {}
+        self.largest: Dict[int, int] = {}
         self.maxdep = 0
-        self.edge_order: List[Tuple[int, int]] = []
 
     @property
     def size(self) -> int:
         return len(self.dep)
 
-    def edge_set(self) -> Set[Tuple[int, int]]:
-        return {(min(a, b), max(a, b)) for a, b in self.edge_order}
-
     def attach(self, u: int, w: int) -> None:
         """Add new vertex w under u (no validity checks)."""
         d = self.dep[u] + 1
         self.dep[w] = d
-        prev = self.children_max.get(u, 0)
-        if w > prev:
-            self.children_max[u] = w
+        if w > self.largest.get(u, 0):
+            self.largest[u] = w
         if d > self.maxdep:
             self.maxdep = d
+
+
+class RootedTree(Rooted):
+    """A rooted tree with its edges in attach order, the static reference
+    that cbfs_tree builds and is_violating_tree checks an edge against.
+    """
+
+    __slots__ = ("edge_order",)
+
+    def __init__(self, root: int):
+        super().__init__(root)
+        self.edge_order: List[Tuple[int, int]] = []
+
+    def edge_set(self) -> Set[Tuple[int, int]]:
+        return {(min(a, b), max(a, b)) for a, b in self.edge_order}
+
+    def attach(self, u: int, w: int) -> None:
+        super().attach(u, w)
         self.edge_order.append((u, w))
 
 
@@ -78,21 +93,19 @@ NEW_VERTEX = "new-vertex"
 VIOLATING = "violating"
 
 
-def classify_edge(dep: Dict[int, int], maxdep: int, largest: Dict[int, int],
-                  a: int, b: int) -> Tuple[str, int, int]:
-    """The one violating-edge rule, shared by trees and discs.
-
-    dep maps collected vertices to their depth, maxdep is the deepest level
-    present, and largest maps a vertex to the largest label of a new vertex
-    it has attached. Returns (kind, u, w). An edge is VIOLATING when it
-    proves the collection cannot be a canonical prefix: a new vertex w hooks
-    onto a vertex u at least DEPTH_GAP above the deepest level, or onto a u
-    that already attached a larger label; or a collected pair spans DEPTH_GAP
-    levels, or its shallower endpoint u already attached a larger label than
-    the deeper endpoint w. Otherwise it is OUTSIDE (neither endpoint
-    collected), INSIDE (both collected) or NEW_VERTEX (u collected, w not).
-    DEPTH_GAP is read on every call, so a perturbed gap takes effect at once.
+def classify_edge(s: Rooted, a: int, b: int) -> Tuple[str, int, int]:
+    """The one violating-edge rule, shared by trees and discs; it reads s's
+    dep, maxdep and largest and changes nothing. Returns (kind, u, w). An
+    edge is VIOLATING when it proves the collection cannot be a canonical
+    prefix: a new vertex w hooks onto a vertex u at least DEPTH_GAP above the
+    deepest level, or onto a u that already attached a larger label; or a
+    collected pair spans DEPTH_GAP levels, or its shallower endpoint u
+    already attached a larger label than the deeper endpoint w. Otherwise it
+    is OUTSIDE (neither endpoint collected), INSIDE (both collected) or
+    NEW_VERTEX (u collected, w not). DEPTH_GAP is read on every call, so a
+    perturbed gap takes effect at once.
     """
+    dep = s.dep
     da = dep.get(a)
     db = dep.get(b)
     if da is None and db is None:
@@ -102,12 +115,12 @@ def classify_edge(dep: Dict[int, int], maxdep: int, largest: Dict[int, int],
             return INSIDE, a, b
         if da > db:
             a, b, da, db = b, a, db, da
-        if db - da >= DEPTH_GAP or largest.get(a, 0) > b:
+        if db - da >= DEPTH_GAP or s.largest.get(a, 0) > b:
             return VIOLATING, a, b
         return INSIDE, a, b
     if da is None:
         a, b, da = b, a, db
-    if maxdep - da >= DEPTH_GAP or largest.get(a, 0) > b:
+    if s.maxdep - da >= DEPTH_GAP or s.largest.get(a, 0) > b:
         return VIOLATING, a, b
     return NEW_VERTEX, a, b
 
@@ -117,8 +130,7 @@ def is_violating_tree(t: RootedTree, e: Edge) -> bool:
     a, b = (e.u, e.v) if e.u < e.v else (e.v, e.u)
     if (a, b) in t.edge_set():
         raise EdgeAlreadyInTreeError(f"edge ({a},{b}) already in tree")
-    return classify_edge(t.dep, t.maxdep, t.children_max, a, b)[0] \
-        == VIOLATING
+    return classify_edge(t, a, b)[0] == VIOLATING
 
 
 def cbfs_tree(g: Graph, v: int, k: int) -> RootedTree:
@@ -147,30 +159,38 @@ def cbfs_tree(g: Graph, v: int, k: int) -> RootedTree:
 # Rooted bounded discs
 
 
-class RootedDisc:
+def bfs_depths(adj, root: int,
+               radius: float = float("inf")) -> Dict[int, int]:
+    """BFS distances from root, up to radius, in the graph adj (vertex to
+    neighbors; a vertex without an entry has none)."""
+    dist = {root: 0}
+    queue = [root]
+    for u in queue:
+        du = dist[u] + 1
+        if du > radius:
+            break
+        for w in adj.get(u, ()):
+            if w not in dist:
+                dist[w] = du
+                queue.append(w)
+    return dist
+
+
+class RootedDisc(Rooted):
     """Rooted graph grown under the extended bounded-disc rule.
 
-    dep holds shortest-path distance to the root within the disc;
-    anchored_max holds, per vertex, the largest label of a new vertex it has
-    attached (the disc analogue of a tree vertex's largest child). adj is the
+    dep holds shortest-path distance to the root within the disc. adj is the
     one record of the kept edges: `edges` and `num_edges` are derived from it.
     Only a vertex with a kept edge has an adj entry: a bare root has none.
     """
 
-    __slots__ = ("root", "k", "d", "dep", "adj", "anchored_max", "maxdep")
+    __slots__ = ("k", "d", "adj")
 
     def __init__(self, root: int, k: int, d: int):
-        self.root = root
+        super().__init__(root)
         self.k = k
         self.d = d
-        self.dep: Dict[int, int] = {root: 0}
         self.adj: Dict[int, Set[int]] = {}
-        self.anchored_max: Dict[int, int] = {}
-        self.maxdep = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.dep)
 
     @property
     def edges(self) -> Set[Tuple[int, int]]:
@@ -184,20 +204,6 @@ class RootedDisc:
     def degree(self, v: int) -> int:
         return len(self.adj.get(v, ()))
 
-    def recompute_depths(self) -> Dict[int, int]:
-        """BFS distances to the root over the current disc."""
-        dist = {self.root: 0}
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self.adj.get(u, ()):
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
-
 
 def disc_classify(f: RootedDisc, a: int, b: int) -> Tuple[str, int, int]:
     """classify_edge plus the disc's budget; read-only. An edge joining two
@@ -206,7 +212,7 @@ def disc_classify(f: RootedDisc, a: int, b: int) -> Tuple[str, int, int]:
     radius stays within k and the attachment point's collected degree within
     d+1. A new vertex the budget refuses comes back OUTSIDE (ignored).
     """
-    kind, u, w = classify_edge(f.dep, f.maxdep, f.anchored_max, a, b)
+    kind, u, w = classify_edge(f, a, b)
     if kind == NEW_VERTEX and (f.dep[u] >= f.k
                                or len(f.adj.get(u, ())) > f.d):
         return OUTSIDE, u, w
@@ -216,20 +222,15 @@ def disc_classify(f: RootedDisc, a: int, b: int) -> Tuple[str, int, int]:
 def disc_apply(f: RootedDisc, kind: str, u: int, w: int) -> None:
     """Keep an edge disc_classify returned as INSIDE or NEW_VERTEX (w new).
 
-    Only new-vertex attachments record an anchored target, exactly as tree
-    collection records children: a closing edge between collected vertices
-    says nothing about either endpoint's own lexicographic scan, and letting
-    it pollute the anchored set makes a later canonical scan trip over its
-    own edges. The attachment point's adj entry is made on its first edge.
+    Only new-vertex attachments go through attach and so update largest,
+    exactly as in a tree: a closing edge between collected vertices says
+    nothing about either endpoint's own lexicographic scan, and letting it
+    raise largest makes a later canonical scan trip over its own edges. The
+    attachment point's adj entry is made on its first edge.
     """
     if kind == NEW_VERTEX:
-        dw = f.dep[u] + 1
-        f.dep[w] = dw
+        f.attach(u, w)
         f.adj[w] = {u}
-        if w > f.anchored_max.get(u, 0):
-            f.anchored_max[u] = w
-        if dw > f.maxdep:
-            f.maxdep = dw
     else:
         f.adj[w].add(u)
     if u in f.adj:
@@ -243,8 +244,7 @@ def is_violating_disc(f: RootedDisc, e: Edge) -> bool:
     a, b = (e.u, e.v) if e.u < e.v else (e.v, e.u)
     if b in f.adj.get(a, ()):
         raise EdgeAlreadyInDiscError(f"edge ({a},{b}) already in disc")
-    return classify_edge(f.dep, f.maxdep, f.anchored_max, a, b)[0] \
-        == VIOLATING
+    return classify_edge(f, a, b)[0] == VIOLATING
 
 
 def grow_cano_disc(g: Graph, v: int, k: int,
@@ -265,13 +265,8 @@ def grow_cano_disc(g: Graph, v: int, k: int,
         raise InvalidKError(f"d must be >= 1, got {d}")
     f = RootedDisc(v, k, d)
     order: List[Tuple[int, int]] = []
-    if k == 0:
-        return f, order
     queue = [v]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
+    for u in queue:
         nbrs = g.neighbors_sorted(u)
         for w in nbrs[:min(len(nbrs), d + 1)]:
             if w in f.adj.get(u, ()):
@@ -282,7 +277,7 @@ def grow_cano_disc(g: Graph, v: int, k: int,
                 order.append((u, w))
                 if kind == NEW_VERTEX:
                     queue.append(w)
-    after = f.recompute_depths()
+    after = bfs_depths(f.adj, f.root)
     if after != f.dep:
         x = next(x for x, dx in f.dep.items() if after[x] != dx)
         raise InvariantError(f"an accepted edge moved collected vertex {x} "
@@ -478,7 +473,7 @@ def materialize_disc(dt: DiscType, k: int, d: int) -> RootedDisc:
         u, w = a + 1, b + 1
         f.adj.setdefault(u, set()).add(w)
         f.adj.setdefault(w, set()).add(u)
-    f.dep = f.recompute_depths()
+    f.dep = bfs_depths(f.adj, f.root)
     if len(f.dep) != n:
         raise InvariantError(f"disc code {dt.hex} is not root-connected")
     f.maxdep = max(f.dep.values(), default=0)
@@ -492,16 +487,7 @@ def materialize_disc(dt: DiscType, k: int, d: int) -> RootedDisc:
 def _ball_code(root: int, adj, k: int, d: int) -> DiscType:
     """Code of the radius-k ball around root in the graph adj (vertex to
     neighbors; a vertex without an entry has none)."""
-    dist = {root: 0}
-    frontier = [root]
-    for depth in range(1, k + 1):
-        nxt = []
-        for u in frontier:
-            for w in adj.get(u, ()):
-                if w not in dist:
-                    dist[w] = depth
-                    nxt.append(w)
-        frontier = nxt
+    dist = bfs_depths(adj, root, k)
     sub = RootedDisc(root, k, d)
     sub.dep = dist
     sub.adj = {v: ws for v in dist

@@ -35,13 +35,17 @@ EXIT_WEIGHT = 4
 EXIT_COMPONENT_CAP = 5
 
 
-def _default_seed() -> int:
-    env = os.environ.get("STREAMSCOPE_SEED")
-    return int(env) if env else 0
-
-
 class ConfigError(Exception):
     pass
+
+
+def _default_seed() -> int:
+    env = os.environ.get("STREAMSCOPE_SEED")
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ConfigError(f"STREAMSCOPE_SEED must be an integer, got "
+                          f"{env!r}") from None
 
 
 def _load_graph(args) -> Graph:
@@ -237,7 +241,7 @@ def _add_common(p, weighted: bool = False, kmax: bool = False):
     if kmax:
         p.add_argument("--kmax", type=int, required=True,
                        help="largest component size the estimator resolves")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=int, default=None,
                    help="master seed (default: STREAMSCOPE_SEED or 0)")
     p.add_argument("--out", help="report file (default: stdout)")
     p.add_argument("--exact", action="store_true",
@@ -316,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.fn(args)
     except ComponentTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,6 +43,8 @@ def cycle_block(n: int) -> List[Tuple[int, int]]:
 def mixed_components(triangles: int = 0, edges_: int = 0,
                      singletons: int = 0, p3s: int = 0) -> Graph:
     """Disjoint triangles, single edges, isolated vertices and 3-paths."""
+    if min(triangles, edges_, singletons, p3s) < 0:
+        raise ValueError("component counts must be >= 0")
     blocks: List[List[Tuple[int, int]]] = []
     sizes: List[int] = []
     for _ in range(triangles):
@@ -84,12 +86,16 @@ def weighted_path(n: int = 200, heavy_every: int = 4, W: int = 2) -> Graph:
 def padded_triangles(m_target: int) -> Graph:
     """Disjoint triangles totalling at least m_target edges (pass-scaling
     corpora for the space and update-cost checks)."""
+    if m_target < 0:
+        raise ValueError(f"m_target must be >= 0, got {m_target}")
     count = (m_target + 2) // 3
     return mixed_components(triangles=count)
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform simple graph with exactly m edges on [1..n]."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     if m > len(pairs):

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .canonical import (NEW_VERTEX, OUTSIDE, VIOLATING, RootedDisc,
-                        RootedTree, classify_edge, disc_apply, disc_classify,
-                        disc_code)
+from .canonical import (NEW_VERTEX, OUTSIDE, VIOLATING, Rooted, RootedDisc,
+                        classify_edge, disc_apply, disc_classify, disc_code)
 from .errors import InvalidKError, OutOfOrderTimeStepError
 
 GOOD = "good"
@@ -27,7 +26,7 @@ BAD_SMALL = "bad:small-component"
 BAD_LATE = "bad:late-completion"
 
 
-class TreeDetector(RootedTree):
+class TreeDetector(Rooted):
     """A canonical-BFS-consistent tree of up to k vertices rooted at v,
     collected from a single pass; finalize decides Good against the phase
     threshold.
@@ -60,8 +59,7 @@ class TreeDetector(RootedTree):
         self.t_seen = t
         if self.reason is not None:
             return None
-        kind, u, w = classify_edge(self.dep, self.maxdep, self.children_max,
-                                   a, b)
+        kind, u, w = classify_edge(self, a, b)
         if kind == NEW_VERTEX:
             if len(self.dep) == self.k:
                 self.reason = BAD_LARGE

@@ -16,8 +16,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .canonical import (NEW_VERTEX, VIOLATING, DiscType, RootedTree,
-                        classify_edge)
+from .canonical import NEW_VERTEX, VIOLATING, DiscType, Rooted, classify_edge
 from .detectors import BAD_LATE, GOOD, DiscDetector, TreeDetector, replay
 from .errors import InvariantError, TooManyEdgesError
 from .graphs import Graph
@@ -88,11 +87,10 @@ def tree_replay_profile(order, root: int) -> Tuple[List[int], Optional[int]]:
       len(accepts) + 1 < k         -> small component
       otherwise                    -> Good iff last accept <= threshold
     """
-    tree = RootedTree(root)
+    tree = Rooted(root)
     accepts: List[int] = []
     for t, (a, b) in enumerate(order, 1):
-        kind, u, w = classify_edge(tree.dep, tree.maxdep, tree.children_max,
-                                   a, b)
+        kind, u, w = classify_edge(tree, a, b)
         if kind == NEW_VERTEX:
             tree.attach(u, w)
             accepts.append(t)

@@ -77,6 +77,10 @@ class EstimatorParams:
             raise ValueError("s must be >= 1")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        # gamma falls as k grows, so no smaller k underflows either
+        if gamma_k(self.k_max, self.tau) == 0.0:
+            raise ValueError(f"tau={self.tau} and k_max={self.k_max} underflow "
+                             f"the rescaling: gamma_k(k_max, tau) is 0.0")
 
     def to_dict(self) -> dict:
         return {"tau": self.tau, "s": self.s, "k_max": self.k_max,

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from disc_helpers import disc_update
 from streamscope.canonical import (INSIDE, NEW_VERTEX, DiscType, RootedDisc,
-                                   RootedTree, bounded_disc_codes, cano_disc,
-                                   cbfs_tree, disc_apply, disc_classify,
-                                   disc_code, grow_cano_disc,
+                                   RootedTree, bfs_depths, bounded_disc_codes,
+                                   cano_disc, cbfs_tree, disc_apply,
+                                   disc_classify, disc_code, grow_cano_disc,
                                    is_violating_disc, is_violating_tree,
                                    materialize_disc, project_extended_disc)
 from streamscope.errors import (DiscTooLargeError, EdgeAlreadyInTreeError,
@@ -115,7 +115,7 @@ def _moves_a_depth_at_some_insertion(g, v, k, d):
             if kind == INSIDE or kind == NEW_VERTEX:
                 before = dict(f.dep)
                 disc_apply(f, kind, a, b)
-                after = f.recompute_depths()
+                after = bfs_depths(f.adj, f.root)
                 if any(after[x] != dx for x, dx in before.items()):
                     return True
                 if kind == NEW_VERTEX:

@@ -530,16 +530,55 @@ def test_params_documentation(capsys):
     assert rc == 0 and "-24.8" in out
 
 
-def test_env_seed_default(monkeypatch, tmp_path, capsys):
+def test_env_seed_default(monkeypatch, capsys):
+    argv = ["run-cc", "--gen", "cc-benchmark", "--tau", "0.3", "--samples",
+            "50", "--kmax", "3"]
+    assert main(argv + ["--seed", "12345"]) == 0
+    explicit = capsys.readouterr().out
     monkeypatch.setenv("STREAMSCOPE_SEED", "12345")
-    import importlib
-    import streamscope.cli as cli_mod
-    importlib.reload(cli_mod)
-    args = cli_mod.build_parser().parse_args(
-        ["run-cc", "--gen", "triangles:2", "--tau", "0.1", "--samples", "3",
-         "--kmax", "2"])
-    assert args.seed == 12345
-    importlib.reload(cli_mod)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == explicit
+    # --seed wins over the variable
+    assert main(argv + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out != explicit
+
+
+def test_non_integer_env_seed_is_a_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("STREAMSCOPE_SEED", "abc")
+    argv = ["run-cc", "--gen", "triangles:2", "--tau", "0.3", "--samples",
+            "3", "--kmax", "2"]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: STREAMSCOPE_SEED must be an integer, got 'abc'\n"
+    # read only when --seed is not given, and never by gen
+    assert main(argv + ["--seed", "1"]) == 0
+    assert main(["gen", "--preset", "triangles:1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["run-cc", "run-mst"])
+def test_underflowing_rescaling_is_a_config_error(command, capsys):
+    # gamma_k(200, 0.01) is 0.0: the report would divide by zero
+    gen = "cc-benchmark" if command == "run-cc" else "mst-path"
+    rc = main([command, "--gen", gen, "--tau", "0.01", "--samples", "50",
+               "--kmax", "200"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: tau=0.01 and k_max=200 underflow")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("preset", ["random:5,-1", "triangles:-3",
+                                    "padded-triangles:-5",
+                                    "padded-triangles:-1"])
+def test_negative_generator_count_is_a_config_error(preset, capsys):
+    for argv in (["gen", "--preset", preset],
+                 ["run-cc", "--gen", preset, "--tau", "0.3", "--samples",
+                  "3", "--kmax", "2"]):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_run_checks_fast_suite_passes():
@@ -625,6 +664,29 @@ def test_canonical_replay_grows_each_disc_once(monkeypatch):
     disc_cases = int(result.details.split(" + ")[1].split()[0])
     assert len(calls) == disc_cases > 0
     assert len(set(calls)) == len(calls)
+
+
+def test_canonical_replay_catches_swapped_tree_children(monkeypatch):
+    # The tree replay compares depths and the outcome. With the root's first
+    # two children swapped in the reference order, the detector attaches the
+    # larger child first and then dies violating on the smaller one.
+    from streamscope import verification
+
+    cbfs = verification.cbfs_tree
+    swapped = []
+
+    def swapping_cbfs(g, v, k):
+        t = cbfs(g, v, k)
+        order = t.edge_order
+        if len(order) >= 2 and order[0][0] == order[1][0] == v:
+            order[0], order[1] = order[1], order[0]
+            swapped.append((v, k))
+        return t
+
+    monkeypatch.setattr(verification, "cbfs_tree", swapping_cbfs)
+    result = verification.check_canonical_replay(n_graphs=4)
+    assert swapped and not result.passed
+    assert result.details.startswith("tree replay mismatch")
 
 
 def test_run_mst_path_corpus_report(tmp_path):

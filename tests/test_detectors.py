@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from disc_helpers import disc_update
-from streamscope.canonical import (RootedDisc, RootedTree, cano_disc,
+from streamscope.canonical import (Rooted, RootedDisc, RootedTree, cano_disc,
                                    disc_code, is_violating_disc,
                                    is_violating_tree, materialize_disc)
 from streamscope.detectors import (BAD_LARGE, BAD_LATE, BAD_SMALL,
@@ -187,12 +187,12 @@ def test_detector_matches_standalone_predicate(seq, root, k):
         in_tree = (min(a, b), max(a, b)) in shadow.edge_set()
         if not in_tree:
             expected_violating = is_violating_tree(shadow, edge(a, b))
-        det.update(a, b, t)
+        added = det.update(a, b, t)
         if not in_tree and expected_violating:
             assert det.reason == BAD_VIOLATING
             break
-        if det.reason is None and det.t_last == t:
-            shadow.attach(*det.edge_order[-1])
+        if added is not None:
+            shadow.attach(a if added == b else b, added)
 
 
 @given(edge_seqs, st.integers(1, 7), st.integers(0, 12))
@@ -277,6 +277,14 @@ def test_disc_adj_holds_exactly_the_kept_edge_endpoints(seq, root, k, d):
         for f in (det, shadow):
             assert set(f.adj) == {x for e in f.edges for x in e}
             assert all(f.adj.values())
+
+
+def test_no_rooted_instance_has_a_dict():
+    # One class without __slots__ anywhere in the chain would give every
+    # sampled root a __dict__; disc-mis peak memory rests on per-root bytes.
+    for obj in (Rooted(1), RootedTree(1), RootedDisc(1, 2, 2),
+                TreeDetector(1, 3), DiscDetector(1, 2, 2)):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 def test_bare_disc_has_no_adj_entry():
@@ -471,10 +479,9 @@ def test_grid_builds_at_the_first_edge_and_keeps_a_reason(specs, seq,
 def _structure(det):
     """Everything a detector's collected structure holds, copied."""
     if isinstance(det, TreeDetector):
-        return (dict(det.dep), dict(det.children_max), det.maxdep,
-                list(det.edge_order))
+        return dict(det.dep), dict(det.largest), det.maxdep
     return (dict(det.dep), {v: set(ws) for v, ws in det.adj.items()},
-            dict(det.anchored_max), det.maxdep)
+            dict(det.largest), det.maxdep)
 
 
 @pytest.mark.parametrize("make,before,last,cutoff,reason", [
